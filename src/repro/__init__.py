@@ -33,10 +33,12 @@ from repro._time import MS, SEC, US, ceil_div, ceil_div0, ms, sec, to_ms, to_sec
 __version__ = "1.0.0"
 
 from repro.runner.seeding import derive_seed  # noqa: E402 — needs __version__ defined
+from repro.obs.registry import reset  # noqa: E402
 
 __all__ = [
     "__version__",
     "derive_seed",
+    "reset",
     "US",
     "MS",
     "SEC",

@@ -36,6 +36,7 @@ from repro.faults.spec import (
     FaultPlan,
     FaultSpec,
 )
+from repro.obs.registry import register_reset
 
 __all__ = [
     "FaultSpec",
@@ -53,7 +54,6 @@ __all__ = [
     "deactivate_plan",
     "ambient_plan",
     "resolve_fault_plan",
-    "reset_override_warning",
 ]
 
 # Process-ambient fault plan (the CLI's --faults flag). Simulators built
@@ -81,19 +81,20 @@ def ambient_plan() -> Optional[FaultPlan]:
     return _AMBIENT
 
 
-# One-time marker for the explicit-overrides-ambient warning below: the pid
-# that has already warned, or None. Per process, not per run: campaign
-# workers rebuild many simulators from the same spec and one notice is
-# enough — and storing the pid (not a bare bool) means a forked pool
-# worker, which inherits this module state already spent, still warns once
-# in its own process.
-_OVERRIDE_WARNED_PID: Optional[int] = None
+# One-time marker for the explicit-overrides-ambient warning below. Per
+# process, not per run: campaign workers rebuild many simulators from the
+# same spec and one notice is enough. A forked pool worker inherits it
+# already spent, so a fork hook re-arms it: each worker still warns once.
+_OVERRIDE_WARNED = False
 
 
-def reset_override_warning() -> None:
-    """Re-arm the one-time ambient-override warning (test isolation)."""
-    global _OVERRIDE_WARNED_PID
-    _OVERRIDE_WARNED_PID = None
+@register_reset
+def _rearm_override_warning() -> None:
+    global _OVERRIDE_WARNED
+    _OVERRIDE_WARNED = False
+
+
+os.register_at_fork(after_in_child=_rearm_override_warning)
 
 
 def resolve_fault_plan(explicit: Optional[FaultPlan], obs=None) -> Optional[FaultPlan]:
@@ -112,15 +113,15 @@ def resolve_fault_plan(explicit: Optional[FaultPlan], obs=None) -> Optional[Faul
     ticked. Passing the adopted ambient plan back in (what a normalized
     ``RunSpec`` does) is not an override and stays silent.
     """
-    global _OVERRIDE_WARNED_PID
+    global _OVERRIDE_WARNED
     ambient = _AMBIENT
     if explicit is None:
         return ambient
     if ambient is not None and ambient.content_hash() != explicit.content_hash():
         if obs is not None:
             obs.registry.counter("faults.ambient_overridden").inc()
-        if _OVERRIDE_WARNED_PID != os.getpid():
-            _OVERRIDE_WARNED_PID = os.getpid()
+        if not _OVERRIDE_WARNED:
+            _OVERRIDE_WARNED = True
             warnings.warn(
                 "an explicit fault plan overrides the active ambient plan "
                 f"(ambient {ambient.content_hash()[:12]} vs explicit "

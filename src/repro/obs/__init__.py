@@ -81,6 +81,7 @@ from repro.obs.registry import (
     merge_registry_snapshots,
     process_metrics_snapshot,
     register_process_registry,
+    register_reset,
 )
 from repro.obs.spans import Span, SpanBuffer
 
@@ -115,8 +116,6 @@ __all__ = [
     "stop_trace_capture",
     "trace_capture",
     "drain_run_log",
-    "decide_rollup",
-    "faults_rollup",
     "runs_snapshot",
     "events",
     "EventLog",
@@ -209,22 +208,6 @@ def drain_run_log() -> List[RunObs]:
     return drained
 
 
-def decide_rollup(runs: Sequence[RunObs]) -> Optional[Dict[str, Any]]:
-    """Merge the ``decide.wall_ns`` histograms of ``runs`` into one snapshot.
-
-    Returns None when no run observed any decide (obs disabled, or no
-    simulation happened) so callers can skip the key entirely.
-    """
-    snapshots = []
-    for run in runs:
-        histogram = run.registry._histograms.get("decide.wall_ns")
-        if histogram is not None and histogram.count:
-            snapshots.append(histogram.snapshot())
-    if not snapshots:
-        return None
-    return merge_histogram_snapshots(snapshots)
-
-
 def runs_snapshot(runs: Sequence[RunObs]) -> Optional[Dict[str, Any]]:
     """Merge the full registry snapshots of ``runs`` into one flat dict.
 
@@ -236,25 +219,6 @@ def runs_snapshot(runs: Sequence[RunObs]) -> Optional[Dict[str, Any]]:
     snapshots = [run.registry.snapshot() for run in runs]
     merged = merge_registry_snapshots(snapshots)
     return merged or None
-
-
-def faults_rollup(runs: Sequence[RunObs]) -> Optional[Dict[str, int]]:
-    """Sum the gated ``faults.*`` counters of ``runs`` into one dict.
-
-    The campaign-worker companion of :func:`decide_rollup`: workers drain
-    the run log once and compute both. Returns None when no run ticked any
-    fault counter (obs disabled, no plan attached, or a null plan) so
-    callers can skip the key entirely.
-    """
-    totals: Dict[str, int] = {}
-    for run in runs:
-        for name, counter in run.registry._counters.items():
-            if name.startswith("faults.") and counter.value:
-                totals[name] = totals.get(name, 0) + counter.value
-    if not totals:
-        return None
-    totals["faults.total"] = sum(totals.values())
-    return totals
 
 
 # -- trace capture ----------------------------------------------------------
@@ -328,3 +292,8 @@ def stop_trace_capture() -> List[CapturedRun]:
 def trace_capture() -> Optional[TraceCapture]:
     """The active capture, or None."""
     return _CAPTURE
+
+
+register_reset(disable)
+register_reset(drain_run_log)
+register_reset(stop_trace_capture)

@@ -47,6 +47,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set, Union
 
+from repro.obs.registry import register_reset
+
 #: Bumped if the record encoding changes incompatibly.
 EVENT_SCHEMA = 1
 
@@ -71,7 +73,14 @@ EVENTS = _EventsState()
 
 
 class EventLog:
-    """Append-only JSON-lines event sink with per-process sequence numbers."""
+    """Append-only JSON-lines event sink with per-process sequence numbers.
+
+    A forked child inherits the active log with the parent's pid and
+    sequence counter; a fork hook (:func:`_rearm_in_child`) restamps the
+    pid and restarts ``seq`` at 1, so ``(pid, seq)`` stays a valid
+    per-process order. The inherited ``O_APPEND`` descriptor is kept —
+    appends from parent and children interleave at line granularity.
+    """
 
     __slots__ = ("path", "_fd", "_pid", "_seq")
 
@@ -91,23 +100,12 @@ class EventLog:
         return self._fd
 
     def emit(self, kind: str, **fields: Any) -> None:
-        """Atomically append one event (single ``write`` of one line).
-
-        A forked child inherits this object with the parent's pid and
-        sequence counter; the first emit from the child detects the pid
-        change and restarts ``seq`` at 1, so ``(pid, seq)`` stays a valid
-        per-process order. The inherited ``O_APPEND`` descriptor is kept —
-        appends from parent and children interleave at line granularity.
-        """
-        pid = os.getpid()
-        if pid != self._pid:
-            self._pid = pid
-            self._seq = 0
+        """Atomically append one event (single ``write`` of one line)."""
         self._seq += 1
         record: Dict[str, Any] = {
             "v": EVENT_SCHEMA,
             "seq": self._seq,
-            "pid": pid,
+            "pid": self._pid,
             "ts": time.time(),
             "kind": kind,
         }
@@ -155,6 +153,16 @@ def disable_event_log() -> None:
 def event_log() -> Optional[EventLog]:
     """The active sink, or None."""
     return _LOG
+
+
+def _rearm_in_child() -> None:
+    if _LOG is not None:
+        _LOG._pid = os.getpid()
+        _LOG._seq = 0
+
+
+os.register_at_fork(after_in_child=_rearm_in_child)
+register_reset(disable_event_log)
 
 
 def emit(kind: str, **fields: Any) -> None:

@@ -30,13 +30,15 @@ module imports nothing from :mod:`repro.sim` and stays cycle-free.
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
 import re
 import time
+from multiprocessing import util as mp_util
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
+
+from repro.obs.registry import register_reset
 
 #: Lane label of the imaginary idle partition in the schedule track.
 IDLE_LANE = "IDLE"
@@ -321,31 +323,28 @@ class MetricsExporter:
     Call :meth:`tick` from any convenient loop — the pool's completion
     handler, a worker's cell boundary, the dispatcher's drain loop. Writes
     are rate-limited to one per ``interval`` seconds per process, plus a
-    final unconditional write from :meth:`flush`. The object is fork-
-    friendly: a child inherits the configuration but the first tick in a
-    new pid discards the inherited throttle (else a short-lived worker
-    could die inside the parent's interval and leave no artifact) and
-    registers an exit-time flush, so every worker leaves one final
+    final unconditional write from :meth:`flush`; the first tick always
+    writes. The armed exporter is fork-friendly: a forked child inherits
+    the configuration, but its first tick writes regardless of the
+    parent's throttle (else a short-lived worker could die inside the
+    parent's interval and leave no artifact), and a multiprocessing child
+    flushes once more when it exits, so every pool worker leaves one final
     ``metrics-<pid>`` snapshot with its complete counters.
     """
 
-    __slots__ = ("directory", "interval", "labels", "_last", "_pid")
+    __slots__ = ("directory", "interval", "labels", "_last", "__weakref__")
 
     def __init__(self, directory, interval: float = 1.0,
                  labels: Optional[Dict[str, Any]] = None):
         self.directory = Path(directory)
         self.interval = float(interval)
         self.labels = dict(labels or {})
-        self._last = 0.0
-        self._pid = os.getpid()
+        #: ``time.monotonic()`` of the last write, or None before the first.
+        self._last: Optional[float] = None
 
     def tick(self) -> Optional["Path"]:
-        if os.getpid() != self._pid:
-            self._pid = os.getpid()
-            self._last = 0.0
-            atexit.register(self._exit_flush)
         now = time.monotonic()
-        if now - self._last < self.interval:
+        if self._last is not None and now - self._last < self.interval:
             return None
         self._last = now
         return write_metrics_snapshot(self.directory, labels=self.labels)
@@ -405,12 +404,31 @@ def metrics_exporter() -> Optional[MetricsExporter]:
     return _EXPORTER
 
 
-def reset_metrics_exporter() -> None:
-    """Disarm without the final flush (test isolation: a teardown flush
-    would resurrect already-deleted tmp directories)."""
+@register_reset
+def _disarm() -> None:
+    # No final flush: a teardown flush would resurrect already-deleted tmp
+    # directories.
     global _EXPORTER
     _EXPORTER = None
     EXPORT.active = False
+
+
+def _rearm_in_child() -> None:
+    if _EXPORTER is not None:
+        _EXPORTER._last = None
+        # Pool workers leave through os._exit, which skips atexit; a
+        # multiprocessing finalizer runs at their normal exit instead. It is
+        # enrolled from multiprocessing's own after-fork pass, because a
+        # child process started by multiprocessing drops every finalizer it
+        # holds right after this hook returns.
+        mp_util.register_after_fork(_EXPORTER, _flush_at_exit)
+
+
+def _flush_at_exit(exporter: MetricsExporter) -> None:
+    mp_util.Finalize(None, exporter._exit_flush, exitpriority=0)
+
+
+os.register_at_fork(after_in_child=_rearm_in_child)
 
 
 def export_tick() -> None:

@@ -22,8 +22,9 @@ so p50/p95 come from bucket interpolation with exact-extremum clamping.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.gate import GATE
 
@@ -307,6 +308,44 @@ def register_process_registry(registry: MetricsRegistry) -> MetricsRegistry:
 def process_registries() -> List[MetricsRegistry]:
     """The enrolled registries, in registration order."""
     return list(_PROCESS_REGISTRIES)
+
+
+#: One function per piece of process-wide state, each restoring that piece
+#: to its import-time default; the owning module enrolls it at import.
+_RESETS: List[Callable[[], Any]] = []
+
+
+def register_reset(clear: Callable[[], Any]) -> Callable[[], Any]:
+    """Enroll ``clear`` in :func:`reset`; returns it unchanged."""
+    _RESETS.append(clear)
+    return clear
+
+
+def reset() -> None:
+    """Restore every piece of process-wide state to its import-time default.
+
+    Covers the obs gate and its sampling settings, the trace capture, the
+    run log, the event log and its context, the metrics exporter (disarmed
+    without a final flush), both warn-once flags, every enrolled process
+    registry, the cluster backend, and the campaign telemetry session with
+    its default listeners. State of a module not yet imported is already at
+    its default. The autouse fixture in ``tests/conftest.py`` calls this
+    around every test.
+    """
+    for clear in _RESETS:
+        clear()
+
+
+@register_reset
+def _zero_process_registries() -> None:
+    for registry in _PROCESS_REGISTRIES:
+        registry.reset()
+
+
+# A forked pool worker counts only its own work: left alone, the parent's
+# pre-fork counts would be re-exported in the worker's ``metrics-<pid>``
+# snapshot and double-counted when per-worker files merge.
+os.register_at_fork(after_in_child=_zero_process_registries)
 
 
 def process_metrics_snapshot() -> Dict[str, Any]:

@@ -63,7 +63,6 @@ from repro.runner.telemetry import (
     add_default_listener,
     drain_session,
     remove_default_listener,
-    reset_session,
     session_footer,
     session_stats,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "derive_seed",
     "drain_session",
     "grid",
-    "reset_session",
     "resolve_task",
     "run_campaign",
     "session_footer",

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 from repro.obs.events import EVENTS
 from repro.obs.events import emit as emit_event
 from repro.obs.export import export_tick
-from repro.obs.registry import MetricsRegistry, register_process_registry
+from repro.obs.registry import MetricsRegistry, register_process_registry, register_reset
 from repro.runner.cache import MISS, ResultStore, as_cache
 from repro.service.journal import CampaignJournal, as_journal
 from repro.runner.spec import CampaignCell, CampaignSpec, resolve_task
@@ -95,36 +95,18 @@ def cluster_backend() -> Optional[Any]:
     return getattr(_CLUSTER_STATE, "backend", None)
 
 
-#: The pid whose process-global registry counts this process owns. A forked
-#: worker inherits the parent's pre-fork counts; left alone they would be
-#: re-exported in the worker's ``metrics-<pid>`` snapshot and double-counted
-#: when per-worker files merge, so the first worker-side entry in a new pid
-#: zeroes every enrolled registry (the worker then counts only its own work).
-_OWNED_REGISTRIES_PID = os.getpid()
-
-
-def _reset_inherited_registries() -> None:
-    global _OWNED_REGISTRIES_PID
-    if os.getpid() == _OWNED_REGISTRIES_PID:
-        return
-    _OWNED_REGISTRIES_PID = os.getpid()
-    from repro.obs.registry import process_registries
-
-    for registry in process_registries():
-        registry.reset()
+register_reset(lambda: set_cluster_backend(None))
 
 
 def _invoke_cell(task: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-side entry: resolve the task function and run one cell.
 
     When :mod:`repro.obs` is enabled (workers fork after the CLI enables
-    it, so the gate is inherited), the decide-latency histograms of every
-    simulation the cell ran are merged into ``payload["metrics"]``, the
-    cell's ``faults.*`` counters into ``payload["faults"]``, and the full
-    merged registry snapshot into ``payload["obs"]`` — the per-cell
-    rollups :class:`~repro.runner.telemetry.CampaignTelemetry` aggregates
-    across cells (counters sum, histograms merge bucket-wise), which is
-    what keeps campaign rollups exact under ``--jobs N``.
+    it, so the gate is inherited), the registries of every simulation the
+    cell ran are merged into ``payload["obs"]`` — the per-cell snapshot
+    :class:`~repro.runner.telemetry.CampaignTelemetry` aggregates across
+    cells (counters sum, histograms merge bucket-wise), which is what keeps
+    campaign rollups exact under ``--jobs N``.
 
     A trace capture started by the parent (``--trace-out``) is inherited
     by forked workers, but worker-side registrations can never reach the
@@ -133,7 +115,6 @@ def _invoke_cell(task: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """
     import repro.obs as _obs
 
-    _reset_inherited_registries()
     capture = _obs.trace_capture()
     foreign_capture = capture is not None and capture.owner_pid != os.getpid()
     if foreign_capture:
@@ -157,8 +138,6 @@ def _invoke_cell(task: str, params: Dict[str, Any]) -> Dict[str, Any]:
         "value": value,
         "wall": time.perf_counter() - start,
         "worker": f"pid-{os.getpid()}",
-        "metrics": _obs.decide_rollup(runs),
-        "faults": _obs.faults_rollup(runs),
         "obs": snapshot,
     }
 
@@ -519,8 +498,6 @@ class _CampaignRunner:
                 attempt=attempt.attempt,
                 wall=payload["wall"],
                 worker=payload["worker"],
-                metrics=payload.get("metrics"),
-                faults=payload.get("faults"),
                 obs=payload.get("obs"),
             )
         )
@@ -584,14 +561,7 @@ class _CampaignRunner:
         share = payload["wall"] / len(group.members)
         for member, value in zip(group.members, results):
             self._complete(
-                member,
-                {
-                    "value": value,
-                    "wall": share,
-                    "worker": payload["worker"],
-                    "metrics": payload.get("metrics"),
-                    "faults": payload.get("faults"),
-                },
+                member, {"value": value, "wall": share, "worker": payload["worker"]}
             )
         return True
 

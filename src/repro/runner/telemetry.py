@@ -19,6 +19,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, TextIO
 
+from repro.obs.registry import (
+    merge_histogram_snapshots,
+    merge_registry_snapshots,
+    register_reset,
+)
+
 #: Event kinds, in lifecycle order.
 SCHEDULED = "scheduled"
 CACHED = "cached"
@@ -31,15 +37,12 @@ FAILED = "failed"
 class CellEvent:
     """One telemetry event for one cell.
 
-    ``metrics`` (COMPUTED events only) carries the cell's observability
-    rollup — currently the merged ``decide.wall_ns`` histogram snapshot of
-    every simulation the cell ran — when :mod:`repro.obs` was enabled in
-    the worker; None otherwise. ``faults`` likewise carries the cell's
-    summed ``faults.*`` injection counters when obs was enabled and a
-    fault plan actually fired; None otherwise. ``obs`` is the cell's full
-    merged registry snapshot (:func:`repro.obs.runs_snapshot`) — every
-    gated counter/gauge/histogram the cell's simulations recorded — which
-    is what lets campaign-level rollups stay exact under ``--jobs N``.
+    ``obs`` (COMPUTED events only) is the cell's full merged registry
+    snapshot (:func:`repro.obs.runs_snapshot`) when :mod:`repro.obs` was
+    enabled in the worker, None otherwise: every gated counter, gauge and
+    histogram the cell's simulations recorded, including its
+    ``decide.wall_ns`` latencies and ``faults.*`` injection counters. It is
+    what lets campaign-level rollups stay exact under ``--jobs N``.
     """
 
     kind: str
@@ -48,8 +51,6 @@ class CellEvent:
     wall: float = 0.0
     worker: str = ""
     error: str = ""
-    metrics: Optional[Dict[str, Any]] = None
-    faults: Optional[Dict[str, int]] = None
     obs: Optional[Dict[str, Any]] = None
 
 
@@ -83,12 +84,6 @@ class CampaignTelemetry:
         #: campaign completed — i.e. cells a ``--resume`` skipped. Set by the
         #: pool when a campaign journal is active; 0 otherwise.
         self.resumed = 0
-        #: Per-cell decide-latency histogram snapshots (COMPUTED events that
-        #: carried an obs rollup), keyed by cell key.
-        self.cell_metrics: Dict[str, Dict[str, Any]] = {}
-        #: Per-cell ``faults.*`` counter rollups (COMPUTED events whose cell
-        #: injected faults with obs enabled), keyed by cell key.
-        self.cell_faults: Dict[str, Dict[str, int]] = {}
         #: Per-cell full registry snapshots (COMPUTED events that carried
         #: one), keyed by cell key — the exact cross-worker aggregation
         #: source: counters sum, histograms merge bucket-wise.
@@ -106,10 +101,6 @@ class CampaignTelemetry:
                 stats = self.workers.setdefault(event.worker, WorkerStats())
                 stats.cells += 1
                 stats.wall += event.wall
-            if event.metrics:
-                self.cell_metrics[event.key] = event.metrics
-            if event.faults:
-                self.cell_faults[event.key] = event.faults
             if event.obs:
                 self.cell_obs[event.key] = event.obs
         elif event.kind == RETRIED:
@@ -149,21 +140,14 @@ class CampaignTelemetry:
         and ``cells_skipped`` (present only when non-zero) says how many
         reporting cells carried no decide histogram.
         """
-        sources: Dict[str, Dict[str, Any]] = {}
-        for key, snap in self.cell_obs.items():
-            histogram = snap.get("decide.wall_ns")
-            if isinstance(histogram, dict):
-                sources[key] = histogram
-        for key, histogram in self.cell_metrics.items():
-            sources.setdefault(key, histogram)
-        covered = {k: s for k, s in sources.items() if s and s.get("count")}
+        covered = [
+            histogram
+            for histogram in (snap.get("decide.wall_ns") for snap in self.cell_obs.values())
+            if isinstance(histogram, dict) and histogram.get("count")
+        ]
         if not covered:
             return None
-        from repro.obs import merge_histogram_snapshots
-
-        merged = merge_histogram_snapshots(list(covered.values()))
-        if not merged["count"]:
-            return None
+        merged = merge_histogram_snapshots(covered)
         rollup = {
             "cells": len(covered),
             "count": merged["count"],
@@ -171,7 +155,7 @@ class CampaignTelemetry:
             "p95_ns": merged["p95"],
             "max_ns": merged["max"],
         }
-        skipped = len(set(self.cell_metrics) | set(self.cell_obs)) - len(covered)
+        skipped = len(self.cell_obs) - len(covered)
         if skipped:
             rollup["cells_skipped"] = skipped
         return rollup
@@ -181,13 +165,20 @@ class CampaignTelemetry:
         counters over every cell that reported any (obs enabled and a
         non-null plan fired), or None — the :meth:`decide_rollup` companion.
         """
-        if not self.cell_faults:
-            return None
+        cells = 0
         totals: Dict[str, int] = {}
-        for counters in self.cell_faults.values():
-            for name, value in counters.items():
+        for snap in self.cell_obs.values():
+            fired = [
+                (name, value)
+                for name, value in snap.items()
+                if name.startswith("faults.") and isinstance(value, int) and value
+            ]
+            cells += bool(fired)
+            for name, value in fired:
                 totals[name] = totals.get(name, 0) + value
-        return {"cells": len(self.cell_faults), **totals}
+        if not cells:
+            return None
+        return {"cells": cells, **totals, "faults.total": sum(totals.values())}
 
     def obs_rollup(self) -> Optional[Dict[str, Any]]:
         """The exact campaign-level registry rollup: every per-cell snapshot
@@ -200,8 +191,6 @@ class CampaignTelemetry:
         """
         if not self.cell_obs:
             return None
-        from repro.obs import merge_registry_snapshots
-
         return merge_registry_snapshots(list(self.cell_obs.values())) or None
 
     def snapshot(self) -> Dict[str, Any]:
@@ -303,17 +292,8 @@ def drain_session() -> List[CampaignTelemetry]:
     return drained
 
 
-def reset_session() -> None:
-    """Discard all process-wide telemetry state: the session registry *and*
-    any dangling default listeners.
-
-    The registry accumulates every campaign run in the interpreter's
-    lifetime, which makes telemetry assertions order-dependent under pytest
-    (an earlier test's campaigns leak into a later test's
-    ``session_stats()``). The autouse fixture in ``tests/conftest.py``
-    calls this between tests; the CLI keeps using :func:`drain_session`,
-    whose return value it needs for the footer.
-    """
+@register_reset
+def _clear_session() -> None:
     _SESSION.clear()
     _DEFAULT_LISTENERS.clear()
 

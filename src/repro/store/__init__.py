@@ -40,7 +40,6 @@ from repro.store.base import (
     cache_schema,
     code_salt,
     note_corrupt_entry,
-    reset_corrupt_warning,
 )
 from repro.store.json_store import JsonStore
 from repro.store.sqlite_store import SqliteStore
@@ -60,7 +59,6 @@ __all__ = [
     "migrate",
     "note_corrupt_entry",
     "open_store",
-    "reset_corrupt_warning",
     "store_url",
 ]
 

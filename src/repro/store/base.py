@@ -40,7 +40,7 @@ from typing import Any, Dict, Iterator, Optional
 from repro.obs.events import EVENTS
 from repro.obs.events import emit as emit_event
 from repro.obs.gate import GATE
-from repro.obs.registry import MetricsRegistry, register_process_registry
+from repro.obs.registry import MetricsRegistry, register_process_registry, register_reset
 
 #: Sentinel distinguishing "miss" from a stored ``None``.
 MISS = object()
@@ -126,19 +126,20 @@ class StoreEntry:
         )
 
 
-# One-time marker for the corrupt-entry warning below: the pid that has
-# already warned, or None. Per process, not per store: a corrupted cache
-# directory typically has many bad files and one notice naming the first is
-# enough — but storing the *pid* (not a bare bool) means a forked pool
-# worker, which inherits this module state already spent, re-arms on first
-# use and still warns once in its own process.
-_CORRUPT_WARNED_PID: Optional[int] = None
+# One-time marker for the corrupt-entry warning below. Per process, not per
+# store: a corrupted cache directory typically has many bad files and one
+# notice naming the first is enough. A forked pool worker inherits it
+# already spent, so a fork hook re-arms it: each worker still warns once.
+_CORRUPT_WARNED = False
 
 
-def reset_corrupt_warning() -> None:
-    """Re-arm the one-time corrupt-entry warning (test isolation)."""
-    global _CORRUPT_WARNED_PID
-    _CORRUPT_WARNED_PID = None
+@register_reset
+def _rearm_corrupt_warning() -> None:
+    global _CORRUPT_WARNED
+    _CORRUPT_WARNED = False
+
+
+os.register_at_fork(after_in_child=_rearm_corrupt_warning)
 
 
 def note_corrupt_entry(location: str) -> None:
@@ -150,12 +151,12 @@ def note_corrupt_entry(location: str) -> None:
     overwritten) so without this signal a half-truncated cache looks like a
     slow one.
     """
-    global _CORRUPT_WARNED_PID
+    global _CORRUPT_WARNED
     STORE_METRICS.counter("cache.corrupt").inc()
     if EVENTS.active:
         emit_event("store.corrupt", location=location)
-    if _CORRUPT_WARNED_PID != os.getpid():
-        _CORRUPT_WARNED_PID = os.getpid()
+    if not _CORRUPT_WARNED:
+        _CORRUPT_WARNED = True
         warnings.warn(
             f"corrupt result-store entry at {location}: treated as a miss and "
             "eligible for overwrite (further corrupt entries are only counted; "

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-import repro.faults as faults
-import repro.obs as obs
+import repro
 from repro.channel.dataset import ChannelDataset
 from repro.experiments.configs import feasibility_experiment
 from repro.model.configs import (
@@ -18,46 +17,21 @@ from repro.model.configs import (
     table1_system,
     three_partition_example,
 )
-from repro.cluster import CLUSTER_METRICS
-from repro.obs.events import disable_event_log
-from repro.obs.export import reset_metrics_exporter
-from repro.runner.pool import POOL_METRICS, set_cluster_backend
-from repro.runner.telemetry import reset_session
-from repro.service import SERVICE_METRICS
-from repro.sim.batch import BATCH_METRICS
-from repro.store import STORE_METRICS, reset_corrupt_warning
-
-
-def _reset_process_observability():
-    reset_session()
-    obs.disable()
-    obs.stop_trace_capture()
-    obs.drain_run_log()
-    disable_event_log()
-    reset_metrics_exporter()
-    faults.reset_override_warning()
-    reset_corrupt_warning()
-    STORE_METRICS.reset()
-    SERVICE_METRICS.reset()
-    POOL_METRICS.reset()
-    BATCH_METRICS.reset()
-    CLUSTER_METRICS.reset()
-    set_cluster_backend(None)
 
 
 @pytest.fixture(autouse=True)
 def _isolate_process_wide_observability():
     """Make telemetry and obs assertions order-independent.
 
-    The campaign telemetry session registry and the repro.obs gate /
-    trace-capture / run-log / event log / metrics exporter are
-    process-wide; without this reset, which campaigns ``session_stats()``
-    sees (and whether obs is enabled) would depend on which tests ran
-    earlier in the pytest session.
+    The campaign telemetry session, the repro.obs gate, trace capture, run
+    log, event log and metrics exporter, the warn-once flags, the process
+    registries and the cluster backend are process-wide; without this
+    reset, which campaigns ``session_stats()`` sees (and whether obs is
+    enabled) would depend on which tests ran earlier in the pytest session.
     """
-    _reset_process_observability()
+    repro.reset()
     yield
-    _reset_process_observability()
+    repro.reset()
 
 
 @pytest.fixture(scope="session")

@@ -34,13 +34,25 @@ from repro.obs.export import (
     start_metrics_exporter,
     stop_metrics_exporter,
 )
-from repro.obs.registry import merge_registry_snapshots
-from repro.runner import run_campaign, session_stats
+from repro.obs.registry import (
+    MetricsRegistry,
+    merge_registry_snapshots,
+    register_process_registry,
+)
+from repro.runner import CampaignSpec, run_campaign, session_stats
 from repro.service.journal import as_journal
 from repro.store import STORE_METRICS
 
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: An enrolled process registry the counting cell ticks in pool workers.
+_COUNTING = register_process_registry(MetricsRegistry("test-counting"))
+
+
+def counting_cell(params):
+    _COUNTING.counter("test.cells_counted").inc()
+    return params["i"]
 
 
 def small_campaign(seed=3, sizes=(10, 20)):
@@ -159,6 +171,31 @@ class TestExactRollups:
         assert merged["store.put_ns"]["count"] == parent_store["store.put_ns"]["count"]
         assert merged["store.get_ns"]["count"] == parent_store["store.get_ns"]["count"]
         assert merged["store.put_ns"]["count"] == len(small_campaign())
+
+    def test_worker_snapshot_files_hold_every_computed_cell(self, tmp_path):
+        # With a throttle far longer than the campaign, each worker writes on
+        # its first tick and then only at its exit: the exit flush must run
+        # in pool workers, which leave through os._exit.
+        obs.enable()
+        spec = CampaignSpec.from_grid(
+            "counting",
+            task="tests.integration.test_fleet_obs:counting_cell",
+            axes={"i": list(range(20))},
+        )
+        start_metrics_exporter(tmp_path, interval=3600.0)
+        try:
+            result = run_campaign(spec, jobs=2)
+        finally:
+            stop_metrics_exporter()
+        assert result.telemetry.computed == 20
+        worker_pids = {int(name.split("-", 1)[1]) for name in result.telemetry.workers}
+        assert worker_pids and os.getpid() not in worker_pids
+        counted = sum(
+            payload["metrics"].get("test.cells_counted", 0)
+            for payload in read_metrics_snapshots(tmp_path)
+            if payload["pid"] in worker_pids
+        )
+        assert counted == 20
 
 
 class TestTopAgainstRunningDrain:

@@ -264,7 +264,7 @@ class TestRunObsAndRunLog:
         assert drained == [scope]
         assert obs.drain_run_log() == []
 
-    def test_decide_rollup_merges_runs(self):
+    def test_runs_snapshot_merges_decide_histograms(self):
         obs.enable()
         runs = []
         for values in ([1000, 2000], [4000]):
@@ -273,12 +273,12 @@ class TestRunObsAndRunLog:
             for v in values:
                 hist.observe(v)
             runs.append(scope)
-        merged = obs.decide_rollup(runs)
+        merged = obs.runs_snapshot(runs)["decide.wall_ns"]
         assert merged["count"] == 3
         assert merged["max"] == 4000
 
-    def test_decide_rollup_none_without_observations(self):
-        assert obs.decide_rollup([obs.RunObs("empty")]) is None
+    def test_runs_snapshot_none_without_observations(self):
+        assert obs.runs_snapshot([obs.RunObs("empty")]) is None
 
 
 class TestTraceCapture:

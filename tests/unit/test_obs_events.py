@@ -210,6 +210,15 @@ class TestSnapshotFiles:
         assert exporter.tick() is None  # throttled
         assert exporter.flush() is not None  # unconditional
 
+    def test_first_tick_writes_on_freshly_booted_host(self, tmp_path, monkeypatch):
+        # time.monotonic() counts from boot, so on a host up for less than
+        # ``interval`` a throttle that starts at 0.0 would swallow the
+        # first tick.
+        monkeypatch.setattr("repro.obs.export.time.monotonic", lambda: 5.0)
+        exporter = MetricsExporter(tmp_path, interval=3600.0)
+        assert exporter.tick() is not None
+        assert exporter.tick() is None
+
 
 class TestConsole:
     def _write_events(self, path, records):

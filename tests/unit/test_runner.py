@@ -481,34 +481,35 @@ class TestObsRollup:
         obs.enable()
         result = run_campaign(_sim_spec(2))
         telemetry = result.telemetry
-        assert set(telemetry.cell_metrics) == {"seed=0", "seed=1"}
+        assert set(telemetry.cell_obs) == {"seed=0", "seed=1"}
         rollup = telemetry.decide_rollup()
         assert rollup is not None
         assert rollup["cells"] == 2
+        assert "cells_skipped" not in rollup
         assert rollup["count"] > 0
         assert 0 < rollup["p50_ns"] <= rollup["p95_ns"] <= rollup["max_ns"]
         assert telemetry.snapshot()["decide_latency"] == rollup
 
     def test_no_metrics_when_obs_disabled(self):
         result = run_campaign(_sim_spec(1))
-        assert result.telemetry.cell_metrics == {}
+        assert result.telemetry.cell_obs == {}
         assert result.telemetry.decide_rollup() is None
         assert result.telemetry.snapshot()["decide_latency"] is None
 
 
 class TestResetSession:
     def test_reset_clears_registry_and_default_listeners(self):
+        import repro
         from repro.runner.telemetry import (
             add_default_listener,
             default_listeners,
-            reset_session,
             session_stats,
         )
 
         run_campaign(_spec(1))
         add_default_listener(lambda t, e: None)
         assert session_stats() and default_listeners()
-        reset_session()
+        repro.reset()
         assert session_stats() == []
         assert default_listeners() == []
 
