@@ -1,59 +1,16 @@
-"""Command-line front end: ``python -m repro <experiment> [options]``.
+"""Command-line front end: ``python -m repro <command> [options]``.
 
-Each subcommand regenerates one of the paper's tables or figures as plain
-text. ``--quick`` shrinks sample counts for smoke runs; ``--full`` scales
-them up toward the paper's sample sizes (slower).
+Each experiment command regenerates one of the paper's tables or figures as
+plain text; ``python -m repro <command> --help`` lists the options that
+command reads, and only those. :data:`COMMANDS` is the single source: each
+entry names its runner and its option groups, and :func:`build_parser`
+turns the table into argparse subparsers. ``campaign``, ``service``,
+``cluster`` and ``cache`` dispatch one level further, to a campaign target
+(:data:`CAMPAIGN_TARGETS`) or a verb.
 
-Campaign-backed subcommands (``fig4``, ``fig12``, ``load-sweep``,
-``defense-matrix``) additionally honor ``--jobs N`` (parallel workers),
-``--no-cache`` / ``--store URL`` (result storage: ``json:DIR`` or
-``sqlite:FILE``; default ``json:.repro_cache``), ``--resume`` (crash-safe
-campaign journal + resume of interrupted runs), and ``--telemetry-out``
-(dump structured campaign telemetry as JSON). ``python -m repro campaign
-<target>`` runs the same targets with an explicit campaign framing and
-prints the telemetry.
-
-Campaign service (:mod:`repro.service`): ``repro service submit <target>``
-queues a campaign request, ``repro service drain`` executes the queue FIFO
-through this process's worker pool, ``repro service status`` reports
-pending/running/done campaigns with per-campaign progress and ETA. Store
-maintenance: ``repro cache ls`` / ``gc`` / ``migrate <src> <dst>``
-(see docs/SERVICE.md).
-
-Cluster execution (:mod:`repro.cluster`): ``repro cluster serve`` drains
-the service queue like ``service drain``, but leases every campaign cell
-to remote worker agents over TCP instead of this machine's pool;
-``repro cluster worker HOST:PORT --jobs N`` runs one such agent. Workers
-that die mid-lease have their cells stolen back and re-leased; results are
-byte-identical to a single-host ``--jobs 1`` run (see docs/SERVICE.md,
-"Cluster"). A coordinator also serves its result store to
-``remote:HOST:PORT`` store URLs.
-
-Observability (:mod:`repro.obs`): ``--trace-out FILE`` works on any
-sim-backed subcommand and writes a Chrome/Perfetto ``trace_event`` JSON of
-every simulation the command runs (open it at https://ui.perfetto.dev);
-``python -m repro stats [policy]`` runs one short simulation with
-instrumentation on and pretty-prints its metrics snapshot.
-
-Fleet observability (docs/OBSERVABILITY.md): ``--events-out FILE`` appends
-a structured JSON-lines event log (cells, batch groups, store traffic,
-service tickets) for the whole command, including forked pool workers;
-``--metrics-dir DIR`` arms a periodic exporter that leaves per-process
-``metrics-<pid>.prom`` / ``.json`` snapshots (Prometheus text + exact-merge
-JSON) — ``repro service drain --metrics-dir DIR`` leaves one per worker.
-``repro top`` folds a service root, an event log, and a metrics directory
-into a live fleet console (``--once`` renders a single frame);
-``repro service status --watch`` re-renders the queue report in place.
-
-Fault injection (:mod:`repro.faults`): ``--faults SPEC`` installs a fault
-plan ambiently, so every simulation the subcommand runs executes under it
-(``SPEC`` is the ``kind:partition[:rate=..,mag=..,len=..];...``
-mini-language, or ``@file.json``; see docs/FAULTS.md). The plan's content
-hash is folded into the campaign cache salt so faulted results can never be
-conflated with nominal ones. ``campaign robustness-sweep`` (alias
-``robustness_sweep``) sweeps fault kind × intensity × policy and reports
-channel accuracy plus deadline-guarantee attribution; with ``--out FILE``
-it also writes its summary JSON there.
+See docs/SERVICE.md (campaign service, cluster, result stores),
+docs/OBSERVABILITY.md (traces, event logs, metrics, ``top``), docs/FAULTS.md
+(``--faults``) and docs/SCHEDULERS.md (``--scheduler``).
 """
 
 from __future__ import annotations
@@ -62,7 +19,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import repro.obs as obs
 from repro.runner import (
@@ -97,25 +54,23 @@ DEFAULT_JOURNAL_DIR = ".repro_journal"
 
 
 def _scale(args: argparse.Namespace, quick: int, default: int, full: int) -> int:
-    if args.quick:
-        return quick
-    if args.full:
-        return full
-    return default
+    return {"quick": quick, "default": default, "full": full}[args.scale]
+
+
+def _profile_sizes(args: argparse.Namespace) -> Tuple[int, ...]:
+    return (10, 20, 50) if args.scale == "quick" else (20, 50, 100, 200)
 
 
 def _store_url(args: argparse.Namespace) -> Optional[str]:
     """The store URL a subcommand should use, or None with ``--no-cache``.
 
-    ``--store`` (URL: ``json:DIR``, ``sqlite:FILE``, bare path = JSON) wins
-    over the legacy ``--cache-dir``; the default is the historical JSON
-    store under ``.repro_cache/``.
+    The default is the historical JSON store under ``.repro_cache/``.
     """
     if args.no_cache:
         return None
     from repro.store import DEFAULT_STORE_URL
 
-    return getattr(args, "store", None) or args.cache_dir or DEFAULT_STORE_URL
+    return args.store or DEFAULT_STORE_URL
 
 
 def _campaign_kwargs(args: argparse.Namespace) -> Dict[str, object]:
@@ -124,7 +79,7 @@ def _campaign_kwargs(args: argparse.Namespace) -> Dict[str, object]:
 
     url = _store_url(args)
     salt = None
-    if url is not None and getattr(args, "faults", None):
+    if url is not None and args.faults:
         # An ambient fault plan changes what every cell computes without
         # appearing in any cell's params — fold its content hash into the
         # cache salt so faulted and nominal results can never be conflated.
@@ -138,8 +93,8 @@ def _campaign_kwargs(args: argparse.Namespace) -> Dict[str, object]:
         "jobs": args.jobs,
         "cache": open_store(url, salt=salt) if url is not None else None,
     }
-    if getattr(args, "resume", False) or getattr(args, "journal_dir", None):
-        kwargs["journal"] = getattr(args, "journal_dir", None) or DEFAULT_JOURNAL_DIR
+    if args.resume or args.journal_dir:
+        kwargs["journal"] = args.journal_dir or DEFAULT_JOURNAL_DIR
     return kwargs
 
 
@@ -150,7 +105,7 @@ def _scheduler_axis(args: argparse.Namespace) -> Tuple[str, ...]:
     configuration stays in the output as the baseline); without the flag the
     axis is just ``("fp",)``. Unknown names fail fast with the registered
     set."""
-    name = getattr(args, "scheduler", None)
+    name = args.scheduler
     if name is None or name == "fp":
         return ("fp",)
     _validate_scheduler(name)
@@ -171,12 +126,18 @@ def _validate_scheduler(name: str) -> str:
 
 
 def _run_fig4(args) -> str:
-    sizes = (10, 20, 50) if args.quick else (20, 50, 100, 200)
+    sizes = _profile_sizes(args)
     messages = _scale(args, 100, 400, 2000)
     return fig04_feasibility.run(
         profile_sizes=sizes, message_windows=messages, seed=args.seed,
         **_campaign_kwargs(args),
     ).format()
+
+
+def _fig4_panel(args) -> "fig04_feasibility.Fig4Result":
+    return fig04_feasibility.run(
+        profile_sizes=(20, 50), message_windows=_scale(args, 100, 400, 2000), seed=args.seed
+    )
 
 
 def _run_fig6(args) -> str:
@@ -185,7 +146,7 @@ def _run_fig6(args) -> str:
 
 
 def _run_fig12(args) -> str:
-    sizes = (10, 20, 50) if args.quick else (20, 50, 100, 200)
+    sizes = _profile_sizes(args)
     messages = _scale(args, 100, 400, 2000)
     return fig12_accuracy.run(
         profile_sizes=sizes, message_windows=messages, seed=args.seed,
@@ -212,14 +173,12 @@ def _run_fig15(args) -> str:
     ).format()
 
 
-def _run_fig16(args) -> str:
-    result = table2_wcrt.run(seconds=_scale(args, 10, 60, 600), seed=args.seed)
-    return result.format_boxplots()
+def _wcrt(args) -> "table2_wcrt.Table2Result":
+    return table2_wcrt.run(seconds=_scale(args, 10, 60, 600), seed=args.seed)
 
 
-def _run_fig17(args) -> str:
-    result = table4_latency.run(seconds=_scale(args, 3, 10, 60), seed=args.seed)
-    return result.format_fig17()
+def _latency(args) -> "table4_latency.OverheadResult":
+    return table4_latency.run(seconds=_scale(args, 3, 10, 60), seed=args.seed)
 
 
 def _run_fig18(args) -> str:
@@ -231,10 +190,6 @@ def _run_fig18(args) -> str:
     ).format()
 
 
-def _run_table2(args) -> str:
-    return table2_wcrt.run(seconds=_scale(args, 10, 60, 600), seed=args.seed).format()
-
-
 def _run_table3(args) -> str:
     return table3_car.run(
         profile_windows=_scale(args, 60, 150, 500),
@@ -242,24 +197,6 @@ def _run_table3(args) -> str:
         responsiveness_seconds=_scale(args, 10, 30, 300),
         seed=args.seed,
     ).format()
-
-
-def _run_table4(args) -> str:
-    result = table4_latency.run(seconds=_scale(args, 3, 10, 60), seed=args.seed)
-    return result.format_table4()
-
-
-def _run_table5(args) -> str:
-    result = table4_latency.run(seconds=_scale(args, 3, 10, 60), seed=args.seed)
-    return result.format_table5()
-
-
-def _run_car(args) -> str:
-    return _run_table3(args)
-
-
-def _run_overhead(args) -> str:
-    return table4_latency.run(seconds=_scale(args, 3, 10, 60), seed=args.seed).format()
 
 
 def _run_defense_matrix(args) -> str:
@@ -276,11 +213,11 @@ def _run_defense_matrix(args) -> str:
 def _run_robustness(args) -> str:
     from repro.faults.spec import FAULT_KINDS
 
-    if args.quick:
+    if args.scale == "quick":
         kinds = ("overrun", "crash")
         intensities = (0.8,)
         policies = ("norandom", "timedice")
-    elif args.full:
+    elif args.scale == "full":
         kinds = FAULT_KINDS
         intensities = (0.2, 0.4, 0.6, 0.8, 1.0)
         policies = robustness_sweep.DEFAULT_POLICIES
@@ -395,7 +332,7 @@ def _run_figures(args) -> str:
     written.append(target)
 
     # Fig. 12: accuracy curves.
-    sizes = (10, 20, 50) if args.quick else (20, 50, 100, 200)
+    sizes = _profile_sizes(args)
     sweep = fig12_accuracy.run(
         profile_sizes=sizes, message_windows=messages, seed=args.seed
     )
@@ -424,7 +361,7 @@ def _run_stats(args) -> str:
     from repro.sim.engine import Simulator
     from repro.sim.registry import find_global_policy, global_policy_names
 
-    policy = args.target or "timedice"
+    policy = args.policy
     # Registry, not the builtin POLICY_NAMES tuple: third-party policies
     # registered before main() runs are first-class stats targets.
     if find_global_policy(policy) is None:
@@ -477,10 +414,10 @@ def _watch_loop(render: Callable[[], str], interval: float) -> str:
 
 def _run_top(args) -> str:
     """``repro top`` — the live fleet console: folds the service root, an
-    event log (``--events-out``), and a metrics directory (``--metrics-dir``)
-    into one text dashboard (:mod:`repro.obs.console`). ``--once`` renders a
-    single frame and exits (scriptable / CI-friendly); otherwise the frame
-    re-renders every ``--interval`` seconds until interrupted."""
+    event log, and a metrics directory into one text dashboard
+    (:mod:`repro.obs.console`). ``--once`` renders a single frame and exits
+    (scriptable / CI-friendly); otherwise the frame re-renders every
+    ``--interval`` seconds until interrupted."""
     from repro.obs.console import gather_fleet_state, render_top
     from repro.service import DEFAULT_SERVICE_ROOT
 
@@ -490,8 +427,8 @@ def _run_top(args) -> str:
         return render_top(
             gather_fleet_state(
                 service_root=root,
-                events_path=args.events_out,
-                metrics_dir=args.metrics_dir,
+                events_path=args.events_path,
+                metrics_dir=args.metrics_path,
             )
         )
 
@@ -500,132 +437,124 @@ def _run_top(args) -> str:
     return _watch_loop(frame, args.interval)
 
 
-def _run_service(args) -> str:
-    """``repro service submit <target> | status | drain`` — the shared
-    campaign queue (see docs/SERVICE.md)."""
+def _dispatcher(args, **kwargs):
+    """The service-queue :class:`~repro.service.Dispatcher` under
+    ``--service-root`` (see docs/SERVICE.md)."""
     from repro.service import DEFAULT_SERVICE_ROOT, Dispatcher
 
-    verb = args.target
-    if verb not in ("submit", "status", "drain"):
-        raise SystemExit("service requires a verb: submit, status, or drain")
-    dispatcher = Dispatcher(
-        args.service_root or DEFAULT_SERVICE_ROOT,
-        jobs=args.jobs,
-        store=getattr(args, "store", None),
-    )
-    if verb == "submit":
-        if not args.rest:
-            raise SystemExit(
-                "service submit requires a campaign target: "
-                f"one of {', '.join(sorted(CAMPAIGN_TARGETS))}"
-            )
-        scale = "quick" if args.quick else ("full" if args.full else "default")
-        try:
-            ticket = dispatcher.submit(
-                args.rest[0],
-                scale=scale,
-                seed=args.seed,
-                store=getattr(args, "store", None),
-                faults=args.faults,
-                no_cache=args.no_cache,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"service submit: {exc}")
-        return (
-            f"submitted ticket {ticket.number:08d}: campaign {args.rest[0]} "
-            f"(scale={scale}, seed={args.seed}) -> {dispatcher.root}"
+    return Dispatcher(args.service_root or DEFAULT_SERVICE_ROOT, **kwargs)
+
+
+def _run_service_submit(args) -> str:
+    dispatcher = _dispatcher(args)
+    try:
+        ticket = dispatcher.submit(
+            args.target,
+            scale=args.scale,
+            seed=args.seed,
+            store=args.store,
+            faults=args.faults,
+            no_cache=args.no_cache,
         )
-    if verb == "status":
+    except ValueError as exc:
+        raise SystemExit(f"service submit: {exc}")
+    return (
+        f"submitted ticket {ticket.number:08d}: campaign {args.target} "
+        f"(scale={args.scale}, seed={args.seed}) -> {dispatcher.root}"
+    )
 
-        def render() -> str:
-            report = dispatcher.status()
-            lines = [f"service root: {report['root']}"]
-            for state in ("pending", "active", "done"):
-                items = report[state]
-                lines.append(f"{state}: {len(items)}")
-                for item in items:
-                    detail = (
-                        f"  #{item['ticket']:08d} {item['target']} "
-                        f"(scale={item['scale']}, seed={item['seed']})"
+
+def _run_service_status(args) -> str:
+    dispatcher = _dispatcher(args)
+
+    def render() -> str:
+        report = dispatcher.status()
+        lines = [f"service root: {report['root']}"]
+        for state in ("pending", "active", "done"):
+            items = report[state]
+            lines.append(f"{state}: {len(items)}")
+            for item in items:
+                detail = (
+                    f"  #{item['ticket']:08d} {item['target']} "
+                    f"(scale={item['scale']}, seed={item['seed']})"
+                )
+                progress = item.get("progress")
+                if progress:
+                    detail += (
+                        f" — {progress['done']}/{progress['total']} cells"
+                        f", {progress['pending_cells']} pending"
                     )
-                    progress = item.get("progress")
-                    if progress:
-                        detail += (
-                            f" — {progress['done']}/{progress['total']} cells"
-                            f", {progress['pending_cells']} pending"
-                        )
-                        if progress.get("eta_s") is not None:
-                            detail += f", eta {progress['eta_s']:.1f}s"
-                    if state == "done":
-                        flag = "ok" if item.get("ok") else "FAILED"
-                        detail += f" — {flag}"
-                        if item.get("elapsed_s") is not None:
-                            detail += f" in {item['elapsed_s']:.1f}s"
-                    lines.append(detail)
-            return "\n".join(lines)
+                    if progress.get("eta_s") is not None:
+                        detail += f", eta {progress['eta_s']:.1f}s"
+                if state == "done":
+                    flag = "ok" if item.get("ok") else "FAILED"
+                    detail += f" — {flag}"
+                    if item.get("elapsed_s") is not None:
+                        detail += f" in {item['elapsed_s']:.1f}s"
+                lines.append(detail)
+        return "\n".join(lines)
 
-        if args.watch:
-            return _watch_loop(render, args.interval)
-        return render()
-    # drain
+    if args.watch:
+        return _watch_loop(render, args.interval)
+    return render()
+
+
+def _drain(dispatcher):
+    """Requeue stranded tickets, drain the queue, and report one line per
+    executed ticket (``service drain`` and ``cluster serve``)."""
     recovered = dispatcher.recover()
     report = dispatcher.drain()
     lines = []
     if recovered:
         lines.append(f"recovered {recovered} stranded ticket(s) from active/")
-    if not report.executed:
-        lines.append("queue empty: nothing to drain")
     for item in report.executed:
         flag = "ok" if item["ok"] else f"FAILED ({item.get('error')})"
         lines.append(
             f"#{item['ticket']:08d} {item['target']}: {flag} in {item['elapsed_s']:.1f}s"
         )
+    return report, lines
+
+
+def _run_service_drain(args) -> str:
+    report, lines = _drain(_dispatcher(args, jobs=args.jobs, store=args.store))
+    if not report.executed:
+        lines.append("queue empty: nothing to drain")
     return "\n".join(lines)
 
 
-def _run_cluster(args) -> str:
-    """``repro cluster serve | worker HOST:PORT`` — multi-host campaign
-    execution (see docs/SERVICE.md, "Cluster").
+def _run_cluster_worker(args) -> str:
+    """Connect one worker agent to a coordinator and execute leases until
+    the coordinator goes away (bounded reconnect backoff) or the process is
+    stopped (see docs/SERVICE.md, "Cluster")."""
+    from repro.cluster import WorkerAgent, parse_address
 
-    ``serve`` drains the service queue exactly like ``service drain`` —
-    same journal, same store, same status files — but with a
+    try:
+        address = parse_address(args.address)
+    except ValueError as exc:
+        raise SystemExit(f"cluster worker: {exc}")
+    agent = WorkerAgent(
+        address,
+        jobs=args.jobs,
+        name=args.worker_name,
+        lease_cells=args.lease_cells,
+        reconnect_s=args.reconnect_s,
+    )
+    print(f"worker {agent.name} -> {address[0]}:{address[1]}", file=sys.stderr)
+    stats = agent.run()
+    return (
+        f"worker {agent.name}: {stats['leases']} lease(s), "
+        f"{stats['completed']} cell(s) completed, {stats['failed']} failed, "
+        f"{stats['reconnects']} reconnect(s)"
+    )
+
+
+def _run_cluster_serve(args) -> str:
+    """Drain the service queue exactly like ``service drain`` — same
+    journal, same store, same status files — but with a
     :class:`~repro.cluster.ClusterCoordinator` installed as the execution
-    engine, so campaign cells are leased to connected worker agents
-    instead of running on this machine's pool. ``worker`` connects one
-    agent to a coordinator and executes leases until the coordinator goes
-    away (bounded reconnect backoff) or the process is stopped.
-    """
-    from repro.cluster import ClusterCoordinator, WorkerAgent, parse_address
-
-    verb = args.target
-    if verb not in ("serve", "worker"):
-        raise SystemExit("cluster requires a verb: serve or worker")
-    if verb == "worker":
-        if not args.rest:
-            raise SystemExit(
-                "cluster worker requires the coordinator address, "
-                "e.g.: repro cluster worker head-node:7341 --jobs 4"
-            )
-        try:
-            address = parse_address(args.rest[0])
-        except ValueError as exc:
-            raise SystemExit(f"cluster worker: {exc}")
-        agent = WorkerAgent(
-            address,
-            jobs=args.jobs,
-            name=args.worker_name,
-            lease_cells=args.lease_cells,
-            reconnect_s=args.reconnect_s,
-        )
-        print(f"worker {agent.name} -> {address[0]}:{address[1]}", file=sys.stderr)
-        stats = agent.run()
-        return (
-            f"worker {agent.name}: {stats['leases']} lease(s), "
-            f"{stats['completed']} cell(s) completed, {stats['failed']} failed, "
-            f"{stats['reconnects']} reconnect(s)"
-        )
-    # serve
-    from repro.service import DEFAULT_SERVICE_ROOT, Dispatcher
+    engine, so campaign cells are leased to connected worker agents instead
+    of running on this machine's pool."""
+    from repro.cluster import ClusterCoordinator
     from repro.store import open_store
 
     url = _store_url(args)
@@ -639,25 +568,12 @@ def _run_cluster(args) -> str:
     coordinator.start()
     host, port = coordinator.address
     print(f"cluster coordinator listening on {host}:{port}", file=sys.stderr)
-    dispatcher = Dispatcher(
-        args.service_root or DEFAULT_SERVICE_ROOT,
-        jobs=args.jobs,
-        store=getattr(args, "store", None),
-        cluster=coordinator,
-    )
+    dispatcher = _dispatcher(args, jobs=args.jobs, store=args.store, cluster=coordinator)
     try:
-        recovered = dispatcher.recover()
-        report = dispatcher.drain()
+        report, lines = _drain(dispatcher)
     finally:
         coordinator.stop()
-    lines = [f"coordinator {host}:{port}: drained {len(report.executed)} ticket(s)"]
-    if recovered:
-        lines.append(f"recovered {recovered} stranded ticket(s) from active/")
-    for item in report.executed:
-        flag = "ok" if item["ok"] else f"FAILED ({item.get('error')})"
-        lines.append(
-            f"#{item['ticket']:08d} {item['target']}: {flag} in {item['elapsed_s']:.1f}s"
-        )
+    lines.insert(0, f"coordinator {host}:{port}: drained {len(report.executed)} ticket(s)")
     for name, stats in sorted(coordinator.worker_stats().items()):
         lines.append(
             f"worker {name}: jobs={stats['jobs']} leased={stats['leased']} "
@@ -667,39 +583,40 @@ def _run_cluster(args) -> str:
     return "\n".join(lines)
 
 
-def _run_cache(args) -> str:
-    """``repro cache ls | gc | migrate <src> <dst>`` — result-store
-    maintenance over any backend URL."""
+def _open_cache(args):
+    from repro.store import DEFAULT_STORE_URL, open_store
+
+    return open_store(args.store or DEFAULT_STORE_URL)
+
+
+def _plural(count: int) -> str:
+    return f"entr{'y' if count == 1 else 'ies'}"
+
+
+def _run_cache_migrate(args) -> str:
     from repro.store import migrate, open_store
 
-    verb = args.target
-    if verb not in ("ls", "gc", "migrate"):
-        raise SystemExit("cache requires a verb: ls, gc, or migrate")
-    if verb == "migrate":
-        if len(args.rest) != 2:
-            raise SystemExit(
-                "cache migrate requires source and destination store URLs, "
-                "e.g.: repro cache migrate json:.repro_cache sqlite:results.db"
-            )
-        src = open_store(args.rest[0])
-        dst = open_store(args.rest[1])
-        copied = migrate(src, dst)
-        return f"migrated {copied} entr{'y' if copied == 1 else 'ies'}: {src.url} -> {dst.url}"
-    store = open_store(_store_url(args) or ".repro_cache")
-    if verb == "gc":
-        description = store.describe()
-        removed = store.gc()
-        return (
-            f"{store.url}: removed {removed} entr{'y' if removed == 1 else 'ies'} "
-            f"with salts other than {description['current_salt']!r} "
-            f"({description['entries'] - removed} kept)"
-        )
-    # ls
+    src = open_store(args.source)
+    dst = open_store(args.destination)
+    copied = migrate(src, dst)
+    return f"migrated {copied} {_plural(copied)}: {src.url} -> {dst.url}"
+
+
+def _run_cache_gc(args) -> str:
+    store = _open_cache(args)
     description = store.describe()
-    lines = [
-        f"{description['url']}: {description['entries']} entr"
-        f"{'y' if description['entries'] == 1 else 'ies'}"
-    ]
+    removed = store.gc()
+    return (
+        f"{store.url}: removed {removed} {_plural(removed)} "
+        f"with salts other than {description['current_salt']!r} "
+        f"({description['entries'] - removed} kept)"
+    )
+
+
+def _run_cache_ls(args) -> str:
+    store = _open_cache(args)
+    description = store.describe()
+    lines = [f"{description['url']}: {description['entries']} {_plural(description['entries'])}"]
     for salt, count in description["salts"].items():
         marker = " (current)" if salt == description["current_salt"] else ""
         lines.append(f"  salt {salt!r}: {count}{marker}")
@@ -716,294 +633,322 @@ def _run_cache(args) -> str:
     return "\n".join(lines)
 
 
-COMMANDS: Dict[str, Callable] = {
-    "fig4": _run_fig4,
-    "fig4a": lambda args: fig04_feasibility.run(
-        profile_sizes=(20, 50), message_windows=_scale(args, 100, 400, 2000), seed=args.seed
-    ).format_distributions(),
-    "fig4b": lambda args: fig04_feasibility.run(
-        profile_sizes=(20, 50), message_windows=_scale(args, 100, 400, 2000), seed=args.seed
-    ).format_heatmap(),
-    "fig4c": lambda args: fig12_accuracy.accuracy_sweep(
-        policies=("norandom",),
-        profile_sizes=(10, 20, 50) if args.quick else (20, 50, 100, 200),
-        message_windows=_scale(args, 100, 400, 2000),
-        seed=args.seed,
-        **_campaign_kwargs(args),
-    ).format(),
-    "fig6": _run_fig6,
-    "fig12": _run_fig12,
-    "fig13": _run_fig13,
-    "fig14": _run_fig14,
-    "fig15": _run_fig15,
-    "fig16": _run_fig16,
-    "fig17": _run_fig17,
-    "fig18": _run_fig18,
-    "table2": _run_table2,
-    "table3": _run_table3,
-    "table4": _run_table4,
-    "table5": _run_table5,
-    "car": _run_car,
-    "overhead": _run_overhead,
-    "defense-matrix": _run_defense_matrix,
-    "load-sweep": _run_load_sweep,
-    "robustness-sweep": _run_robustness,
-    "classifiers": _run_classifiers,
-    "coding": _run_coding,
-    "figures": _run_figures,
-    "stats": _run_stats,
-    "top": _run_top,
-    "campaign": None,  # dispatches through CAMPAIGN_TARGETS (see _run_campaign)
-    "service": _run_service,
-    "cluster": _run_cluster,
-    "cache": _run_cache,
-}
+# -- the command table ------------------------------------------------------
 
-#: Subcommands expressible as ``python -m repro campaign <target>``.
-CAMPAIGN_TARGETS: Dict[str, Callable] = {
-    "fig4": _run_fig4,
-    "fig12": _run_fig12,
-    "defense-matrix": _run_defense_matrix,
-    "load-sweep": _run_load_sweep,
-    "robustness-sweep": _run_robustness,
-    "robustness_sweep": _run_robustness,  # alias: both spellings circulate
-}
+Option = Callable[[argparse.ArgumentParser], object]
 
 
-def _run_campaign(args) -> str:
-    """``python -m repro campaign <target> [--jobs N] [--no-cache]``."""
-    if not args.target:
-        raise SystemExit(
-            f"campaign requires a target: one of {', '.join(sorted(CAMPAIGN_TARGETS))}"
-        )
-    if args.target not in CAMPAIGN_TARGETS:
-        raise SystemExit(
-            f"unknown campaign target {args.target!r}; "
-            f"choose from {', '.join(sorted(CAMPAIGN_TARGETS))}"
-        )
-    return CAMPAIGN_TARGETS[args.target](args)
+def _option(*flags: str, **kwargs) -> Option:
+    """One argument, added to whichever command parser lists it."""
+    return lambda parser: parser.add_argument(*flags, **kwargs)
 
 
-COMMANDS["campaign"] = _run_campaign
-
-
-def _campaign_targets_epilog() -> str:
-    """The help epilog, rendered from :data:`CAMPAIGN_TARGETS` so new
-    targets can never drift out of ``--help`` (test-enforced). The
-    parenthesized tail documents the service/cache verbs and store URL
-    schemes; it must start with a non-word character so the epilog test's
-    target-list regex stops before it."""
-    return (
-        "campaign targets: "
-        + ", ".join(sorted(CAMPAIGN_TARGETS))
-        + " (store URLs: json:DIR, sqlite:FILE, remote:HOST:PORT; service "
-        "verbs: submit, status, drain; cluster verbs: serve, worker; "
-        "cache verbs: ls, gc, migrate)"
+def _scale_option(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument(
+        "--quick", dest="scale", action="store_const", const="quick",
+        default="default", help="small smoke-test sizes",
     )
+    group.add_argument(
+        "--full", dest="scale", action="store_const", const="full",
+        help="paper-scale sample counts (slow)",
+    )
+    group.add_argument(
+        "--scale", choices=("quick", "default", "full"),
+        help="explicit spelling of --quick/--full (--scale quick == --quick)",
+    )
+
+
+SEED = _option("--seed", type=int, default=3, help="simulation seed")
+FAULTS = _option(
+    "--faults", metavar="SPEC",
+    help="run every simulation under this ambient fault plan: "
+    "'kind:partition[:rate=..,mag=..,len=..];...' or '@plan.json' "
+    "(kinds: overrun, jitter, stall, burst, crash; see docs/FAULTS.md)",
+)
+EVENTS_OUT = _option(
+    "--events-out", metavar="FILE",
+    help="append a structured JSON-lines event log of everything this "
+    "command does (cells, batch groups, store traffic, service tickets)",
+)
+METRICS_DIR = _option(
+    "--metrics-dir", metavar="DIR",
+    help="periodically export per-process metrics snapshots "
+    "(metrics-<pid>.prom Prometheus text + metrics-<pid>.json) into DIR",
+)
+FLEET_SINKS = (EVENTS_OUT, METRICS_DIR)
+RUN_SINKS = (
+    SEED,
+    FAULTS,
+    _option(
+        "--trace-out", metavar="FILE",
+        help="enable repro.obs and write a Chrome/Perfetto trace_event JSON "
+        "of every simulation the command runs (schedule lanes + "
+        "scheduler-internal spans)",
+    ),
+    *FLEET_SINKS,
+    _option(
+        "--telemetry-out", metavar="FILE",
+        help="write campaign telemetry snapshots to this JSON file",
+    ),
+)
+SIM = (_scale_option, *RUN_SINKS)
+
+JOBS = _option(
+    "--jobs", type=int, default=1, help="parallel worker processes (default 1)"
+)
+NO_CACHE = _option(
+    "--no-cache", action="store_true", help="disable the campaign result store"
+)
+STORE = _option(
+    "--store", "--cache-dir", dest="store", metavar="URL",
+    help="campaign result store URL: json:DIR (one file per entry), "
+    "sqlite:FILE (WAL database, safe for concurrent writers), "
+    "remote:HOST:PORT (a coordinator's store), or a bare path (JSON). "
+    "Default json:.repro_cache",
+)
+STORAGE = (
+    JOBS,
+    NO_CACHE,
+    STORE,
+    _option(
+        "--resume", action="store_true",
+        help="journal campaign progress (crash-safe, append-only) and "
+        "resume an interrupted run: cells completed by a killed earlier "
+        "run replay from the store and count as 'resumed'",
+    ),
+    _option(
+        "--journal-dir", metavar="DIR",
+        help=f"campaign journal directory for --resume (default {DEFAULT_JOURNAL_DIR})",
+    ),
+)
+CAMPAIGN = SIM + STORAGE
+
+SCHEDULER = _option(
+    "--scheduler", metavar="NAME",
+    help="registered partition-local scheduler (fp, edf, reorder, blinder, "
+    "...): 'stats' runs under it; 'defense-matrix' and 'fig12' add it as "
+    "comparison rows beside the default fp axis (see docs/SCHEDULERS.md)",
+)
+SERVICE_ROOT = _option(
+    "--service-root", metavar="DIR",
+    help="service queue root (default .repro_service)",
+)
+INTERVAL = _option(
+    "--interval", type=float, default=2.0, metavar="SECONDS",
+    help="refresh period (default 2.0)",
+)
+LEASE_CELLS = _option(
+    "--lease-cells", type=int, default=0, metavar="N",
+    help="cells per cluster lease (serve: cap per request; worker: request "
+    "size). 0 = jobs*4 per worker",
+)
+
+
+class Command(NamedTuple):
+    """One ``repro`` command: the runner and the options it reads, or —
+    for ``campaign``, ``service``, ``cluster`` and ``cache`` — the verbs it
+    dispatches to, parsed into ``verb_dest``."""
+
+    run: Optional[Callable[[argparse.Namespace], str]] = None
+    options: Tuple[Option, ...] = ()
+    verbs: Optional[Dict[str, "Command"]] = None
+    verb_dest: str = "verb"
+
+
+COMMANDS: Dict[str, Command] = {
+    "fig4": Command(_run_fig4, CAMPAIGN),
+    "fig4a": Command(lambda args: _fig4_panel(args).format_distributions(), SIM),
+    "fig4b": Command(lambda args: _fig4_panel(args).format_heatmap(), SIM),
+    "fig4c": Command(
+        lambda args: fig12_accuracy.accuracy_sweep(
+            policies=("norandom",),
+            profile_sizes=_profile_sizes(args),
+            message_windows=_scale(args, 100, 400, 2000),
+            seed=args.seed,
+            **_campaign_kwargs(args),
+        ).format(),
+        CAMPAIGN,
+    ),
+    "fig6": Command(_run_fig6, SIM),
+    "fig12": Command(_run_fig12, CAMPAIGN + (SCHEDULER,)),
+    "fig13": Command(_run_fig13, SIM),
+    "fig14": Command(_run_fig14, SIM),
+    "fig15": Command(_run_fig15, SIM),
+    "fig16": Command(lambda args: _wcrt(args).format_boxplots(), SIM),
+    "fig17": Command(lambda args: _latency(args).format_fig17(), SIM),
+    "fig18": Command(_run_fig18, SIM),
+    "table2": Command(lambda args: _wcrt(args).format(), SIM),
+    "table3": Command(_run_table3, SIM),
+    "table4": Command(lambda args: _latency(args).format_table4(), SIM),
+    "table5": Command(lambda args: _latency(args).format_table5(), SIM),
+    "car": Command(_run_table3, SIM),
+    "overhead": Command(lambda args: _latency(args).format(), SIM),
+    "defense-matrix": Command(_run_defense_matrix, CAMPAIGN + (SCHEDULER,)),
+    "load-sweep": Command(_run_load_sweep, CAMPAIGN),
+    "robustness-sweep": Command(
+        _run_robustness,
+        CAMPAIGN + (_option("--out", metavar="FILE", help="also write the summary JSON here"),),
+    ),
+    "classifiers": Command(_run_classifiers, SIM),
+    "coding": Command(_run_coding, SIM),
+    "figures": Command(
+        _run_figures,
+        SIM + (_option("--out", metavar="DIR", help="SVG output directory (default figures)"),),
+    ),
+    "stats": Command(
+        _run_stats,
+        SIM + (
+            SCHEDULER,
+            _option(
+                "policy", nargs="?", default="timedice",
+                help="registered global policy to run (default timedice)",
+            ),
+        ),
+    ),
+    "top": Command(
+        _run_top,
+        (
+            SERVICE_ROOT,
+            _option(
+                "--events-out", dest="events_path", metavar="FILE",
+                help="the event log to read",
+            ),
+            _option(
+                "--metrics-dir", dest="metrics_path", metavar="DIR",
+                help="the metrics snapshot directory to read",
+            ),
+            _option("--once", action="store_true", help="render a single frame and exit"),
+            INTERVAL,
+        ),
+    ),
+}
+
+#: Commands expressible as ``python -m repro campaign <target>``.
+CAMPAIGN_TARGETS: Dict[str, Command] = {
+    name: COMMANDS[name]
+    for name in ("fig4", "fig12", "defense-matrix", "load-sweep", "robustness-sweep")
+}
+CAMPAIGN_TARGETS["robustness_sweep"] = COMMANDS["robustness-sweep"]  # both spellings circulate
+
+COMMANDS.update(
+    campaign=Command(verbs=CAMPAIGN_TARGETS, verb_dest="target"),
+    service=Command(
+        verbs={
+            "submit": Command(
+                _run_service_submit,
+                (
+                    _option("target", help="campaign target (as for 'campaign')"),
+                    _scale_option, SEED, FAULTS, NO_CACHE, STORE, SERVICE_ROOT,
+                    *FLEET_SINKS,
+                ),
+            ),
+            "status": Command(
+                _run_service_status,
+                (
+                    SERVICE_ROOT,
+                    _option(
+                        "--watch", action="store_true",
+                        help="re-render the report in place until interrupted",
+                    ),
+                    INTERVAL,
+                ),
+            ),
+            "drain": Command(
+                _run_service_drain, (SERVICE_ROOT, JOBS, STORE, *FLEET_SINKS)
+            ),
+        }
+    ),
+    cluster=Command(
+        verbs={
+            "serve": Command(
+                _run_cluster_serve,
+                (
+                    SERVICE_ROOT, JOBS, NO_CACHE, STORE,
+                    _option(
+                        "--host", default="127.0.0.1",
+                        help="bind address (use 0.0.0.0 to serve a real fleet; "
+                        "default loopback)",
+                    ),
+                    _option(
+                        "--port", type=int, default=7341,
+                        help="TCP port (0 picks an ephemeral port; default 7341)",
+                    ),
+                    _option(
+                        "--lease-s", type=float, default=10.0, metavar="SECONDS",
+                        help="lease lifetime without a heartbeat before cells "
+                        "are stolen back and re-leased (default 10.0)",
+                    ),
+                    LEASE_CELLS,
+                    *FLEET_SINKS,
+                ),
+            ),
+            "worker": Command(
+                _run_cluster_worker,
+                (
+                    _option("address", metavar="HOST:PORT", help="the coordinator"),
+                    JOBS,
+                    _option(
+                        "--worker-name", metavar="NAME",
+                        help="stable worker identity (default host-pid)",
+                    ),
+                    LEASE_CELLS,
+                    _option(
+                        "--reconnect-s", type=float, default=60.0, metavar="SECONDS",
+                        help="cumulative offline budget spent retrying a dead "
+                        "coordinator (exponential backoff) before exiting "
+                        "(default 60.0)",
+                    ),
+                    *FLEET_SINKS,
+                ),
+            ),
+        }
+    ),
+    cache=Command(
+        verbs={
+            "ls": Command(_run_cache_ls, (STORE,)),
+            "gc": Command(_run_cache_gc, (STORE,)),
+            "migrate": Command(
+                _run_cache_migrate,
+                (
+                    _option("source", metavar="SRC", help="store URL to copy from"),
+                    _option("destination", metavar="DST", help="store URL to copy into"),
+                ),
+            ),
+        }
+    ),
+)
+
+
+def _add_command(subparsers, name: str, command: Command) -> None:
+    parser = subparsers.add_parser(name)
+    for add in command.options:
+        add(parser)
+    if command.verbs is None:
+        parser.set_defaults(run=command.run)
+        return
+    verbs = parser.add_subparsers(dest=command.verb_dest, required=True)
+    for verb, sub in command.verbs.items():
+        _add_command(verbs, verb, sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="timedice",
         description="Regenerate the TimeDice paper's tables and figures.",
-        epilog=_campaign_targets_epilog(),
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(COMMANDS),
-        help="which table/figure to regenerate",
+    # The sinks main() applies; a command without one leaves it off.
+    parser.set_defaults(
+        faults=None, trace_out=None, events_out=None, metrics_dir=None, telemetry_out=None
     )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="campaign target (campaign command; see epilog), policy name "
-        "(stats command), or verb (service: submit/status/drain; "
-        "cache: ls/gc/migrate)",
-    )
-    parser.add_argument(
-        "rest",
-        nargs="*",
-        default=[],
-        help="verb operands: the campaign target for 'service submit', "
-        "source and destination store URLs for 'cache migrate'",
-    )
-    parser.add_argument("--seed", type=int, default=3, help="simulation seed")
-    parser.add_argument(
-        "--scheduler",
-        default=None,
-        metavar="NAME",
-        help="registered partition-local scheduler (fp, edf, reorder, "
-        "blinder, ...): 'stats' runs under it; 'defense-matrix' and "
-        "'fig12' add it as comparison rows beside the default fp axis "
-        "(see docs/SCHEDULERS.md)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="output directory (figures) or summary JSON file (robustness-sweep)",
-    )
-    parser.add_argument(
-        "--faults",
-        default=None,
-        metavar="SPEC",
-        help="run every simulation under this ambient fault plan: "
-        "'kind:partition[:rate=..,mag=..,len=..];...' or '@plan.json' "
-        "(kinds: overrun, jitter, stall, burst, crash; see docs/FAULTS.md)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel worker processes for campaign-backed subcommands",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk campaign result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="campaign result cache directory (default .repro_cache); "
-        "superseded by --store",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="URL",
-        help="campaign result store URL: json:DIR (one file per entry), "
-        "sqlite:FILE (WAL database, safe for concurrent writers), or a "
-        "bare path (JSON). Default json:.repro_cache",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="journal campaign progress (crash-safe, append-only) and "
-        "resume an interrupted run: cells completed by a killed earlier "
-        "run replay from the store and count as 'resumed'",
-    )
-    parser.add_argument(
-        "--journal-dir",
-        default=None,
-        metavar="DIR",
-        help=f"campaign journal directory for --resume (default {DEFAULT_JOURNAL_DIR})",
-    )
-    parser.add_argument(
-        "--service-root",
-        default=None,
-        metavar="DIR",
-        help="service queue root for the service verbs (default .repro_service)",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address for 'cluster serve' (use 0.0.0.0 to serve a "
-        "real fleet; default loopback)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=7341,
-        help="TCP port for 'cluster serve' (0 picks an ephemeral port; "
-        "default 7341)",
-    )
-    parser.add_argument(
-        "--lease-s",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="cluster lease lifetime without a heartbeat before cells are "
-        "stolen back and re-leased (default 10.0)",
-    )
-    parser.add_argument(
-        "--lease-cells",
-        type=int,
-        default=0,
-        metavar="N",
-        help="cells per cluster lease (serve: cap per request; worker: "
-        "request size). 0 = jobs*4 per worker",
-    )
-    parser.add_argument(
-        "--worker-name",
-        default=None,
-        metavar="NAME",
-        help="stable identity for 'cluster worker' (default host-pid)",
-    )
-    parser.add_argument(
-        "--reconnect-s",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="cumulative offline budget a cluster worker spends retrying a "
-        "dead coordinator (exponential backoff) before exiting "
-        "(default 60.0)",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        default=None,
-        help="write campaign telemetry snapshots to this JSON file",
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        help="enable repro.obs and write a Chrome/Perfetto trace_event JSON "
-        "of every simulation the subcommand runs (schedule lanes + "
-        "scheduler-internal spans)",
-    )
-    parser.add_argument(
-        "--events-out",
-        default=None,
-        metavar="FILE",
-        help="append a structured JSON-lines event log of everything this "
-        "command does (cells, batch groups, store traffic, service "
-        "tickets); for 'top' this is the log to read, not write",
-    )
-    parser.add_argument(
-        "--metrics-dir",
-        default=None,
-        metavar="DIR",
-        help="periodically export per-process metrics snapshots "
-        "(metrics-<pid>.prom Prometheus text + metrics-<pid>.json) into "
-        "DIR; for 'top' this is the directory to read, not write",
-    )
-    parser.add_argument(
-        "--watch",
-        action="store_true",
-        help="with 'service status': re-render the report in place until "
-        "interrupted ('top' watches by default; see --once)",
-    )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="with 'top': render a single frame and exit",
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="refresh period for 'top' and --watch (default 2.0)",
-    )
-    scale = parser.add_mutually_exclusive_group()
-    scale.add_argument("--quick", action="store_true", help="small smoke-test sizes")
-    scale.add_argument(
-        "--full", action="store_true", help="paper-scale sample counts (slow)"
-    )
-    scale.add_argument(
-        "--scale",
-        choices=("quick", "default", "full"),
-        default=None,
-        help="explicit spelling of --quick/--full (--scale quick == --quick)",
-    )
+    commands = parser.add_subparsers(dest="experiment", required=True)
+    for name, command in COMMANDS.items():
+        _add_command(commands, name, command)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.scale:
-        args.quick = args.scale == "quick"
-        args.full = args.scale == "full"
     started = time.time()
     drain_session()  # footer covers only this invocation's campaigns
     progress = ProgressPrinter(sys.stderr)
@@ -1022,15 +967,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.trace_out:
         obs.enable()
         obs.start_trace_capture()
-    # ``top`` *reads* the fleet artifacts these flags name; every other
-    # subcommand *writes* them.
-    fleet_sinks = args.experiment != "top"
-    if fleet_sinks and args.events_out:
+    if args.events_out:
         obs.enable_event_log(args.events_out)
-    if fleet_sinks and args.metrics_dir:
+    if args.metrics_dir:
         obs.start_metrics_exporter(args.metrics_dir)
     try:
-        output = COMMANDS[args.experiment](args)
+        output = args.run(args)
     finally:
         if plan is not None:
             import repro.faults as faults_mod
@@ -1040,9 +982,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             captured = obs.stop_trace_capture()
             if not obs_was_enabled:
                 obs.disable()
-        if fleet_sinks and args.metrics_dir:
+        if args.metrics_dir:
             obs.stop_metrics_exporter()  # final unconditional snapshot
-        if fleet_sinks and args.events_out:
+        if args.events_out:
             obs.disable_event_log()
         remove_default_listener(progress)
         progress.close()
@@ -1052,9 +994,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"[trace: {len(captured)} run(s), {events} events -> {args.trace_out}]"
         )
-    if fleet_sinks and args.events_out:
+    if args.events_out:
         print(f"[events -> {args.events_out}]")
-    if fleet_sinks and args.metrics_dir:
+    if args.metrics_dir:
         print(f"[metrics -> {args.metrics_dir}]")
     stats = drain_session()
     name = args.experiment if args.experiment != "campaign" else f"campaign {args.target}"

@@ -70,6 +70,7 @@ def activate_plan(plan: FaultPlan) -> FaultPlan:
     return plan
 
 
+@register_reset
 def deactivate_plan() -> None:
     """Clear the ambient plan (always called from a ``finally``)."""
     global _AMBIENT

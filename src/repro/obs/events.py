@@ -8,12 +8,12 @@ answers "how much / how fast", the event log answers "what happened, in
 what order, on which worker" — and it survives the process, so a drainer
 on another host (ROADMAP item 2) can be audited after the fact.
 
-Records follow the journal's append discipline
-(:mod:`repro.service.journal`): each event is a single ``os.write`` of one
-JSON line to an ``O_APPEND`` descriptor, so concurrent writers — the pool
-parent and its forked workers share one inherited descriptor — interleave
-at record granularity and a SIGKILL can at worst tear the final line,
-which :func:`read_events` tolerates by skipping it.
+Records are written by :class:`JsonLinesAppender`, which the campaign
+journal (:mod:`repro.service.journal`) shares: each event is a single
+``os.write`` of one JSON line to an ``O_APPEND`` descriptor, so concurrent
+writers — the pool parent and its forked workers share one inherited
+descriptor — interleave at record granularity and a SIGKILL can at worst
+tear the final line, which :func:`read_events` tolerates by skipping it.
 
 Every record carries::
 
@@ -45,7 +45,7 @@ import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.obs.registry import register_reset
 
@@ -72,7 +72,39 @@ class _EventsState:
 EVENTS = _EventsState()
 
 
-class EventLog:
+class JsonLinesAppender:
+    """Atomic appends to one JSON-lines file, shared by the event log and
+    the campaign journal (:mod:`repro.service.journal`).
+
+    Each record is a single ``os.write`` of one line to an ``O_APPEND``
+    descriptor opened on the first append, so concurrent writers interleave
+    at record granularity and a SIGKILL can at worst tear the final line,
+    which :func:`read_json_lines` skips.
+    """
+
+    __slots__ = ("path", "_fd")
+
+    def __init__(self, path: Union[str, Path]):
+        self.path = Path(path)
+        self._fd: Optional[int] = None
+
+    def append(self, record: Dict[str, Any]) -> None:
+        """Atomically append one record (single ``write`` of one line)."""
+        if self._fd is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(
+                str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+            )
+        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        os.write(self._fd, line.encode("utf-8"))
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+
+class EventLog(JsonLinesAppender):
     """Append-only JSON-lines event sink with per-process sequence numbers.
 
     A forked child inherits the active log with the parent's pid and
@@ -82,22 +114,12 @@ class EventLog:
     appends from parent and children interleave at line granularity.
     """
 
-    __slots__ = ("path", "_fd", "_pid", "_seq")
+    __slots__ = ("_pid", "_seq")
 
     def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._fd: Optional[int] = None
+        super().__init__(path)
         self._pid = os.getpid()
         self._seq = 0
-
-    def _descriptor(self) -> int:
-        if self._fd is None:
-            if self.path.parent != Path("."):
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        return self._fd
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Atomically append one event (single ``write`` of one line)."""
@@ -113,13 +135,7 @@ class EventLog:
             record.update(_CONTEXT)
         if fields:
             record.update(fields)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        os.write(self._descriptor(), line.encode("utf-8"))
-
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self.append(record)
 
 
 _LOG: Optional[EventLog] = None
@@ -216,13 +232,14 @@ _MISSING = object()
 # -- reading ----------------------------------------------------------------
 
 
-def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Every decodable event in ``path``, in file order (torn lines skipped).
+def read_json_lines(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], int]:
+    """Every decodable record in ``path``, in file order, and the number of
+    torn lines skipped (lines that do not decode to a JSON object).
 
-    Tolerates a missing file (returns ``[]``) and the torn final line a
-    SIGKILL can leave, exactly like the campaign journal's replay.
+    A missing file reads as empty.
     """
     records: List[Dict[str, Any]] = []
+    torn = 0
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
@@ -232,12 +249,24 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
                 try:
                     record = json.loads(line)
                 except ValueError:
+                    torn += 1
                     continue
                 if isinstance(record, dict):
                     records.append(record)
+                else:
+                    torn += 1
     except FileNotFoundError:
         pass
-    return records
+    return records, torn
+
+
+def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Every decodable event in ``path``, in file order (torn lines skipped).
+
+    Tolerates a missing file (returns ``[]``) and the torn final line a
+    SIGKILL can leave, exactly like the campaign journal's replay.
+    """
+    return read_json_lines(path)[0]
 
 
 def completed_cell_keys(path: Union[str, Path]) -> Set[str]:

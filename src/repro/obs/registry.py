@@ -327,10 +327,10 @@ def reset() -> None:
     Covers the obs gate and its sampling settings, the trace capture, the
     run log, the event log and its context, the metrics exporter (disarmed
     without a final flush), both warn-once flags, every enrolled process
-    registry, the cluster backend, and the campaign telemetry session with
-    its default listeners. State of a module not yet imported is already at
-    its default. The autouse fixture in ``tests/conftest.py`` calls this
-    around every test.
+    registry, the cluster backend, the ambient fault plan, and the campaign
+    telemetry session with its default listeners. State of a module not yet
+    imported is already at its default. The autouse fixture in
+    ``tests/conftest.py`` calls this around every test.
     """
     for clear in _RESETS:
         clear()

@@ -12,12 +12,12 @@
   (done/total cells) and an ETA extrapolated from the campaign's own
   telemetry throughput.
 
-Execution reuses the CLI's campaign-target registry end to end: a request
-is rendered back into an argv, parsed by the real parser, and dispatched
-through :data:`repro.cli.CAMPAIGN_TARGETS` — so anything expressible as
-``python -m repro campaign <target> ...`` is submittable, and the service
-can never drift from the CLI. (The import is lazy; the CLI imports this
-package for its ``service`` verbs.)
+Execution reuses the CLI end to end: a request is rendered back into a
+``campaign <target> ...`` argv (:meth:`Dispatcher.campaign_argv`), parsed
+by the real parser, and run by the runner that parser selects — so
+anything expressible as ``python -m repro campaign <target> ...`` is
+submittable, and the service can never drift from the CLI. (The import is
+lazy; the CLI imports this package for its ``service`` verbs.)
 """
 
 from __future__ import annotations
@@ -221,19 +221,8 @@ class Dispatcher:
             requeued += 1
         return requeued
 
-    def execute(self, ticket: Ticket) -> Dict[str, Any]:
-        """Run one claimed request to a terminal outcome (never raises for
-        campaign failures — the outcome records them)."""
-        from repro.cli import build_parser  # lazy (see module docstring)
-        from repro.runner import (
-            add_default_listener,
-            drain_session,
-            remove_default_listener,
-            session_stats,
-        )
-
-        request = ticket.request
-        unknown = set(request) - REQUEST_FIELDS
+    def campaign_argv(self, request: Dict[str, Any]) -> List[str]:
+        """The ``python -m repro`` argv that runs ``request`` on this drainer."""
         argv = ["campaign", str(request.get("target", ""))]
         argv += ["--seed", str(request.get("seed", 3))]
         argv += ["--jobs", str(self.jobs)]
@@ -248,7 +237,20 @@ class Dispatcher:
         argv += ["--resume", "--journal-dir", str(self.journal_root)]
         if request.get("faults"):
             argv += ["--faults", str(request["faults"])]
+        return argv
 
+    def execute(self, ticket: Ticket) -> Dict[str, Any]:
+        """Run one claimed request to a terminal outcome (never raises for
+        campaign failures — the outcome records them)."""
+        from repro.cli import build_parser  # lazy (see module docstring)
+        from repro.runner import (
+            add_default_listener,
+            drain_session,
+            remove_default_listener,
+            session_stats,
+        )
+
+        request = ticket.request
         started = time.time()
         listener = _StatusListener(self.queue, ticket)
         add_default_listener(listener)
@@ -258,25 +260,22 @@ class Dispatcher:
             if EVENTS.active:
                 emit_event("service.execute", target=request.get("target", ""))
             try:
-                args = build_parser().parse_args(argv)
-                if args.scale:
-                    args.quick = args.scale == "quick"
-                    args.full = args.scale == "full"
+                unknown = set(request) - REQUEST_FIELDS
                 if unknown:
                     raise ValueError(
                         f"request carries unknown fields: {sorted(unknown)}"
                     )
-                targets = _campaign_targets()
-                target = args.target
-                if target not in targets:
+                target = request.get("target")
+                if target not in _campaign_targets():
                     raise ValueError(f"unknown campaign target {target!r}")
+                args = build_parser().parse_args(self.campaign_argv(request))
                 engine = (
                     self.cluster.installed()
                     if self.cluster is not None
                     else contextlib.nullcontext()
                 )
                 with engine:
-                    output = targets[target](args)
+                    output = args.run(args)
                 outcome = {
                     "ok": True,
                     "output": output[:_OUTPUT_LIMIT],

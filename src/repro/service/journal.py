@@ -5,9 +5,11 @@ campaign: a ``begin`` header, then one ``submitted`` record per cell
 scheduled for computation and one ``completed`` record per cell whose value
 has been durably written to the result store (``failed`` for terminal
 failures). Appends are **atomic**: each record is a single ``os.write`` of
-one line to an ``O_APPEND`` descriptor, so concurrent writers interleave at
-record granularity and a SIGKILL can at worst truncate the final line —
-which :meth:`CampaignJournal.replay` tolerates by discarding it.
+one line to an ``O_APPEND`` descriptor (the
+:class:`~repro.obs.events.JsonLinesAppender` the fleet event log also
+uses), so concurrent writers interleave at record granularity and a SIGKILL
+can at worst truncate the final line — which :meth:`CampaignJournal.replay`
+tolerates by discarding it.
 
 The journal is what makes a killed campaign *resumable with attribution*:
 the result store already guarantees completed cells are never recomputed
@@ -30,11 +32,11 @@ starts a fresh one.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
+
+from repro.obs.events import JsonLinesAppender, read_json_lines
 
 #: Record kinds, in lifecycle order.
 BEGIN = "begin"
@@ -71,12 +73,8 @@ class JournalState:
         return self.generations > 0 and len(self.completed) + len(self.failed) < self.total
 
 
-class CampaignJournal:
+class CampaignJournal(JsonLinesAppender):
     """Append-only journal of one campaign's cell lifecycle."""
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._fd: Optional[int] = None
 
     @classmethod
     def for_spec(
@@ -87,19 +85,6 @@ class CampaignJournal:
         return cls(Path(root) / f"{spec.spec_hash(salt)}.jsonl")
 
     # -- writing -----------------------------------------------------------
-
-    def _descriptor(self) -> int:
-        if self._fd is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        return self._fd
-
-    def append(self, record: Dict[str, Any]) -> None:
-        """Atomically append one record (single ``write`` of one line)."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        os.write(self._descriptor(), line.encode("utf-8"))
 
     def begin(self, campaign: str, spec_hash: str, total: int, salt: str = "") -> None:
         self.append(
@@ -122,42 +107,15 @@ class CampaignJournal:
     def failed(self, content_hash: str, key: str, error: str) -> None:
         self.append({"kind": FAILED, "hash": content_hash, "key": key, "error": error})
 
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
     # -- reading -----------------------------------------------------------
 
     def records(self) -> List[Dict[str, Any]]:
         """Every decodable record, in append order (torn lines skipped)."""
-        return self._read()[0]
-
-    def _read(self):
-        records: List[Dict[str, Any]] = []
-        torn = 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        torn += 1
-                        continue
-                    if isinstance(record, dict):
-                        records.append(record)
-                    else:
-                        torn += 1
-        except FileNotFoundError:
-            pass
-        return records, torn
+        return read_json_lines(self.path)[0]
 
     def replay(self) -> JournalState:
         """Fold the journal into a :class:`JournalState` digest."""
-        records, torn = self._read()
+        records, torn = read_json_lines(self.path)
         state = JournalState(torn_records=torn)
         for record in records:
             kind = record.get("kind")

@@ -81,7 +81,9 @@ def test_reset_restores_every_piece_of_process_state(tmp_path):
         assert metrics_exporter() is None and not EXPORT.active
         assert all(r.snapshot()["test.reset_probe"] == 0 for r in registries)
         assert cluster_backend() is None
+        assert faults.ambient_plan() is None
         assert _warnings(lambda: note_corrupt_entry("re-armed")) == 1
+        faults.activate_plan(ambient)
         assert _warnings(lambda: resolve_fault_plan(explicit)) == 1
     finally:
         faults.deactivate_plan()
