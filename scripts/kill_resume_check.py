@@ -4,7 +4,9 @@ Drives the real CLI end to end:
 
 1. starts ``python -m repro campaign <target> --scale quick`` against a
    fresh store with ``--resume --journal-dir``, as a subprocess;
-2. SIGKILLs it as soon as the store holds at least one completed cell;
+2. SIGKILLs its whole process group (the CLI and its pool workers) as
+   soon as the store holds at least one completed cell, and fails if any
+   process of that group is still running 5 s later;
 3. re-runs the identical command, which must resume (journal generation 2)
    and complete;
 4. runs the same campaign uninterrupted into a second store;
@@ -65,6 +67,27 @@ def _campaign_argv(
     return argv
 
 
+def _running_in_group(pgid: int, within_s: float = 5.0) -> list:
+    """Pids of process group ``pgid`` still running after up to ``within_s``
+    seconds; zombies waiting to be reaped count as gone (Linux ``/proc``)."""
+    deadline = time.monotonic() + within_s
+    while True:
+        running = []
+        for entry in os.listdir("/proc"):
+            if not entry.isdigit():
+                continue
+            try:
+                with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                    fields = handle.read().rsplit(")", 1)[1].split()
+            except (OSError, IndexError):
+                continue  # exited while we looked
+            if int(fields[2]) == pgid and fields[0] != "Z":
+                running.append(int(entry))
+        if not running or time.monotonic() >= deadline:
+            return running
+        time.sleep(0.05)
+
+
 def _store_entries(store_url: str) -> list:
     handle = open_store(store_url)
     try:
@@ -100,13 +123,14 @@ def main(argv=None) -> int:
     if args.obs_dir is not None:
         args.obs_dir.mkdir(parents=True, exist_ok=True)
 
-    # 1-2. Start the doomed run; SIGKILL once the store shows progress.
+    # 1-2. Start the doomed run in its own process group; SIGKILL the group
+    # once the store shows progress, so its pool workers die with it.
     doomed_argv = _campaign_argv(
         args.target, args.seed, killed_url, journal_dir, obs_dir=args.obs_dir
     )
     print(f"[kill-resume] starting: {' '.join(doomed_argv)}")
     process = subprocess.Popen(
-        doomed_argv, env=_env(), cwd=workdir,
+        doomed_argv, env=_env(), cwd=workdir, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + args.timeout
@@ -120,10 +144,14 @@ def main(argv=None) -> int:
         time.sleep(0.05)
     else:
         print("[kill-resume] FAIL: store never gained an entry")
-        process.kill()
+        os.killpg(process.pid, signal.SIGKILL)
         return 1
-    os.kill(process.pid, signal.SIGKILL)
+    os.killpg(process.pid, signal.SIGKILL)
     process.wait(timeout=60)
+    orphans = _running_in_group(process.pid)
+    if orphans:
+        print(f"[kill-resume] FAIL: processes {orphans} outlived the kill")
+        return 1
     survivors = len(_store_entries(killed_url))
     print(f"[kill-resume] killed mid-campaign with {survivors} cell(s) stored")
 

@@ -951,8 +951,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     drain_session()  # footer covers only this invocation's campaigns
-    progress = ProgressPrinter(sys.stderr)
-    add_default_listener(progress)
     obs_was_enabled = obs.is_enabled()
     captured = None
     plan = None
@@ -971,6 +969,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         obs.enable_event_log(args.events_out)
     if args.metrics_dir:
         obs.start_metrics_exporter(args.metrics_dir)
+    # Enrolled last, so a setup error above cannot leave it behind.
+    progress = ProgressPrinter(sys.stderr)
+    add_default_listener(progress)
     try:
         output = args.run(args)
     finally:

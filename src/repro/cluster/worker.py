@@ -60,7 +60,6 @@ class WorkerAgent:
         name: Stable worker identity; defaults to ``host-pid``.
         lease_cells: Cells requested per lease; ``0`` asks for
             ``jobs * 4``.
-        batch: Passed through to ``run_campaign`` (``"auto"`` / ``"off"``).
         connect_timeout: Seconds per connection attempt.
         io_timeout: Seconds per frame send/receive.
         reconnect_s: Cumulative seconds the agent will keep retrying a
@@ -73,7 +72,6 @@ class WorkerAgent:
         jobs: int = 1,
         name: Optional[str] = None,
         lease_cells: int = 0,
-        batch: str = "auto",
         connect_timeout: float = 5.0,
         io_timeout: float = 120.0,
         reconnect_s: float = 60.0,
@@ -82,7 +80,6 @@ class WorkerAgent:
         self.jobs = max(1, int(jobs))
         self.name = name or default_worker_name()
         self.lease_cells = int(lease_cells) or self.jobs * 4
-        self.batch = batch
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.reconnect_s = float(reconnect_s)
@@ -201,7 +198,6 @@ class WorkerAgent:
             cache=None,
             retries=int(lease.get("retries") or 0),
             on_failure="keep",
-            batch=self.batch,
         )
         drain_session()  # agents are long-lived; don't accumulate rollups
         completed: List[Dict[str, Any]] = []

@@ -221,9 +221,7 @@ class _GroupAttempt:
         return {"runspecs": [dict(m.cell.params)["runspec"] for m in self.members]}
 
 
-def _group_pending(
-    pending: List[_Attempt], batch: str
-) -> List[Union[_Attempt, _GroupAttempt]]:
+def _group_pending(pending: List[_Attempt]) -> List[Union[_Attempt, _GroupAttempt]]:
     """Partition ``pending`` into batchable groups and single attempts.
 
     Only ``simulate_cell`` attempts whose specs share one
@@ -232,8 +230,9 @@ def _group_pending(
     gate is disabled — per-run instrumentation (engine counters, decide
     histograms, run-log rollups) is per-cell by contract and must not be
     pooled across a group. Everything else passes through untouched.
+    This is the one entry to the batch engine.
     """
-    if batch == "off" or len(pending) < 2:
+    if len(pending) < 2:
         return list(pending)
     import repro.obs as _obs
 
@@ -294,9 +293,14 @@ def run_campaign(
     on_failure: str = "raise",
     max_pool_rebuilds: int = 3,
     journal: Union[None, str, Path, CampaignJournal] = None,
-    batch: str = "auto",
 ) -> CampaignResult:
     """Execute ``spec`` and return its merged, spec-ordered results.
+
+    Pending ``simulate_cell`` attempts that share a system shape and horizon
+    run in groups through the batch engine (:mod:`repro.sim.batch`) while
+    the obs gate is disabled. That engine is bit-identical to the scalar
+    one, and every store write, journal record and telemetry event still
+    happens per cell, so grouping never changes what a campaign records.
 
     Args:
         spec: The campaign to run.
@@ -327,19 +331,9 @@ def run_campaign(
             generation are counted in ``telemetry.resumed``. Values replay
             from the ``cache`` store, so journaling without a store records
             progress but cannot skip recomputation.
-        batch: ``"auto"`` (default) groups compatible ``simulate_cell``
-            attempts — same system shape and horizon, obs gate disabled —
-            through the batch engine (:mod:`repro.sim.batch`), one
-            ``simulate_batch`` call per group. The batch backend is
-            bit-identical to the scalar engine and every store write,
-            journal record, and telemetry event still happens per cell, so
-            results are indistinguishable from ``"off"`` (which disables
-            grouping entirely).
     """
     if on_failure not in ("raise", "keep"):
         raise ValueError(f"on_failure must be 'raise' or 'keep', got {on_failure!r}")
-    if batch not in ("auto", "off"):
-        raise ValueError(f"batch must be 'auto' or 'off', got {batch!r}")
     jobs = max(1, int(jobs))
     store = as_cache(cache)
     tele = telemetry if telemetry is not None else CampaignTelemetry(spec.name)
@@ -402,7 +396,7 @@ def run_campaign(
                 # happens worker-side where the cells actually execute.
                 backend.execute(runner, pending)
             else:
-                grouped = _group_pending(pending, batch)
+                grouped = _group_pending(pending)
                 if jobs == 1:
                     runner.run_serial(grouped)
                 else:

@@ -226,9 +226,8 @@ class Dispatcher:
         argv = ["campaign", str(request.get("target", ""))]
         argv += ["--seed", str(request.get("seed", 3))]
         argv += ["--jobs", str(self.jobs)]
-        scale = request.get("scale", "default")
-        if scale in ("quick", "full"):
-            argv += ["--scale", scale]
+        # Always rendered, so argparse rejects a scale it does not know.
+        argv += ["--scale", str(request.get("scale", "default"))]
         store = request.get("store") or self.store
         if request.get("no_cache"):
             argv += ["--no-cache"]

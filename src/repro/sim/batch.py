@@ -37,10 +37,13 @@ job completions.
 **Bit-identity contract**: for every supported spec the batch engine
 produces the same decision sequence, segment trace, job records, and
 deterministic metrics as ``Simulator.from_spec(spec).run_until(h)`` —
-enforced by ``tests/integration/test_batch_differential.py``. Unsupported
-specs (``budget_donation``, ``measure_overhead``, custom behaviours or
-local schedulers) fall back to the scalar engine; the fallback ticks the
-gated ``batch.fallback`` counter in :data:`BATCH_METRICS`.
+enforced by ``tests/integration/test_batch_differential.py``.
+
+Campaign grouping (:mod:`repro.runner.pool`) is the one entry to this
+engine: the runner groups pending ``simulate_cell`` cells that pass
+:func:`batch_compatible` and share a :func:`batch_group_key`, and runs each
+group of two or more through :func:`run_specs_batched`. Every other run —
+including every ``Simulator.from_spec`` call — takes the scalar engine.
 
 What the batch engine does **not** reproduce: the schedulability memo (its
 ``memo.*`` counters are engine-implementation artifacts, absent here), the
@@ -61,18 +64,12 @@ import repro.obs as _obs
 import repro.obs.events as _events
 from repro.core.busy_interval import MAX_ITERATIONS
 from repro.obs.gate import GATE
-from repro.obs.registry import MetricsRegistry, register_process_registry
 from repro.sim.behaviors import default_behaviors
 import repro.sim.registry as _registry
 from repro.sim.config import RunSpec, canonical_json
 from repro.sim.engine import SimulationResult
 from repro.sim.local import Job
 from repro.sim.trace import JobRecord
-
-#: Process-wide batch-engine telemetry. ``batch.fallback`` counts specs
-#: that requested the batch engine but were routed to the scalar one
-#: (gated, like every counter, on the obs gate).
-BATCH_METRICS = register_process_registry(MetricsRegistry("batch"))
 
 #: Sentinel "time" for an empty arrival heap (never reached: horizons are
 #: int64-safe microsecond counts).
@@ -906,34 +903,12 @@ class BatchSimulator:
             _events.emit(
                 "engine.run",
                 label=run.obs.label,
-                engine="batch",
+                backend="batch",
                 end_time=result.end_time,
                 decisions=result.decisions,
                 deadline_misses=result.deadline_misses,
             )
         return result
-
-
-class BatchRunAdapter:
-    """``Simulator.from_spec``'s batch backend for a single spec.
-
-    Duck-types the one engine method campaign tasks use: ``run_until``.
-    The batch engine has no pause/resume, so the adapter is single-shot.
-    """
-
-    def __init__(self, spec: RunSpec, observers: Sequence = ()):
-        self.spec = spec
-        self.observers = list(observers)
-        self._consumed = False
-
-    def run_until(self, t_end: int) -> SimulationResult:
-        if self._consumed:
-            raise RuntimeError(
-                "the batch engine does not support resumed runs; use "
-                "engine='scalar' for pause/resume"
-            )
-        self._consumed = True
-        return BatchSimulator([self.spec], observers=[self.observers]).run(t_end)[0]
 
 
 def run_specs_batched(

@@ -214,17 +214,11 @@ class RunSpec:
         measure_overhead: Record wall-clock decide latencies (Table IV /
             Fig. 17 runs only; wall-clock data never affects the hash beyond
             this boolean).
-        engine: Which backend executes the run — ``"scalar"`` (the default
-            event-loop engine) or ``"batch"`` (the vectorized lockstep
-            engine, :mod:`repro.sim.batch`). The two are bit-identical on
-            every supported spec, so the engine choice is **hash-neutral**:
-            it never participates in :meth:`content_hash` and both engines
-            share one cache entry per run.
         scheduler: Registered *local* scheduler name
             (:func:`repro.sim.registry.register_local_scheduler`): ``"fp"``
             (fixed-priority, the default), ``"edf"``, ``"reorder"``, or any
-            third-party registration. Unlike ``engine``, a non-default
-            scheduler **changes run semantics**, so it participates in
+            third-party registration. A non-default scheduler **changes run
+            semantics**, so it participates in
             :meth:`content_hash`; the default is emitted nowhere, keeping
             default-scheduler documents and hashes byte-identical to
             pre-``scheduler``-field ones.
@@ -240,7 +234,6 @@ class RunSpec:
     faults: Optional[Mapping[str, Any]] = None
     budget_donation: bool = False
     measure_overhead: bool = False
-    engine: str = "scalar"
     scheduler: str = DEFAULT_LOCAL_SCHEDULER
 
     def __post_init__(self) -> None:
@@ -269,10 +262,6 @@ class RunSpec:
             if quantum <= 0:
                 raise ValueError(f"quantum must be positive, got {quantum}")
             object.__setattr__(self, "quantum", quantum)
-        if self.engine not in ("scalar", "batch"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected 'scalar' or 'batch'"
-            )
         # Validate eagerly: a malformed channel/faults document should fail
         # at spec construction, not inside a campaign worker.
         self.channel_script()
@@ -326,13 +315,10 @@ class RunSpec:
     def to_dict(self) -> dict:
         """Plain-JSON form with every field explicit (schema-tagged).
 
-        The ``engine`` key is emitted only when it is not the default
-        ``"scalar"`` — it is an execution-backend selector, not run
-        semantics, so default-engine documents round-trip byte-identically
-        with pre-engine-field ones. The ``scheduler`` key follows the same
-        emit-only-when-non-default rule (so default documents stay
-        byte-identical), but for the opposite reason: a non-default
-        scheduler *is* run semantics and must reach the hash.
+        The ``scheduler`` key is emitted only when it is not the default
+        ``"fp"``, so default-scheduler documents stay byte-identical with
+        pre-field ones; a non-default scheduler *is* run semantics and must
+        reach the hash. :meth:`from_dict` ignores keys it does not know.
         """
         doc = {
             "schema": CONFIG_SCHEMA,
@@ -347,8 +333,6 @@ class RunSpec:
             "budget_donation": self.budget_donation,
             "measure_overhead": self.measure_overhead,
         }
-        if self.engine != "scalar":
-            doc["engine"] = self.engine
         if self.scheduler != DEFAULT_LOCAL_SCHEDULER:
             doc["scheduler"] = self.scheduler
         return doc
@@ -371,7 +355,6 @@ class RunSpec:
             faults=data.get("faults"),
             budget_donation=data.get("budget_donation", False),
             measure_overhead=data.get("measure_overhead", False),
-            engine=data.get("engine", "scalar"),
             scheduler=data.get("scheduler", DEFAULT_LOCAL_SCHEDULER),
         )
 
@@ -388,18 +371,14 @@ class RunSpec:
         A pure function of the spec's semantics: stable across field order,
         JSON round-trips, and process boundaries; distinct on every field
         (the schema version is part of the hashed material, so a format bump
-        invalidates everything at once). The ``engine`` field is excluded:
-        scalar and batch execution are bit-identical, so both address the
-        same cached result. The ``scheduler`` field *is* included whenever
-        it is non-default (``to_dict`` omits the default, so ``"fp"`` specs
-        hash exactly as pre-field ones did). Hash **normalized** specs when
-        the address must be ambient-state-independent.
+        invalidates everything at once). The ``scheduler`` field is included
+        whenever it is non-default (``to_dict`` omits the default, so
+        ``"fp"`` specs hash exactly as pre-field ones did). Hash
+        **normalized** specs when the address must be
+        ambient-state-independent.
         """
-        material = self.to_dict()
-        material.pop("engine", None)
-        return hashlib.sha256(canonical_json(material).encode("utf-8")).hexdigest()[
-            :40
-        ]
+        material = canonical_json(self.to_dict()).encode("utf-8")
+        return hashlib.sha256(material).hexdigest()[:40]
 
     def replace(self, **changes: Any) -> "RunSpec":
         """A changed copy (:func:`dataclasses.replace` with re-validation)."""

@@ -394,40 +394,8 @@ class Simulator:
         affect cache identity. Registered local schedulers travel *inside*
         the spec (``spec.scheduler``); combining a non-default one with an
         explicit ``local_scheduler_factory`` is rejected as ambiguous.
-
-        When ``spec.engine == "batch"`` the run is routed to the vectorized
-        backend (:mod:`repro.sim.batch`) and the return value is a
-        :class:`~repro.sim.batch.BatchRunAdapter` — same ``run_until``
-        surface, bit-identical results, but single-shot (no pause/resume).
-        Specs or attachments the batch engine cannot represent (budget
-        donation, overhead measurement, a non-default or unsupported
-        scheduler/policy, custom behaviours/schedulers/obs, an active
-        ``--trace-out`` capture) fall back to the scalar engine here,
-        ticking the gated ``batch.fallback`` counter plus one reasoned
-        companion (``batch.fallback.<reason>``) so ``repro stats`` can say
-        why.
         """
         spec = spec.normalized()
-        if spec.engine == "batch":
-            from repro.sim.batch import BATCH_METRICS, BatchRunAdapter, batch_compatible
-
-            reason = batch_compatible(spec)
-            if reason is None:
-                if behaviors is not None:
-                    reason = "custom_behaviors"
-                elif local_scheduler_factory is not None:
-                    reason = "custom_scheduler"
-                elif obs is not None:
-                    reason = "obs_scope"
-                elif _obs.trace_capture() is not None:
-                    # The batch backend records no per-run segments, so an
-                    # active --trace-out capture would come back empty;
-                    # the scalar engine self-registers and traces.
-                    reason = "obs_capture"
-            if reason is None:
-                return BatchRunAdapter(spec, observers=observers)
-            BATCH_METRICS.counter("batch.fallback").inc()
-            BATCH_METRICS.counter(f"batch.fallback.{reason}").inc()
         return cls(
             spec.build_system(),
             policy=spec.policy,

@@ -27,7 +27,7 @@ The builtin entries are registered by their owning modules on import —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -77,8 +77,8 @@ class GlobalPolicyEntry:
             / ``"inverse"``) for the batch engine's vectorized dice, None for
             non-randomized policies.
         batch: Whether :mod:`repro.sim.batch` implements the policy.
-            Third-party registrations default to False and take the gated
-            ``batch.fallback.policy`` path.
+            Third-party registrations default to False and are never
+            grouped onto the batch engine.
     """
 
     name: str
@@ -86,7 +86,6 @@ class GlobalPolicyEntry:
     label: str
     selector_kind: Optional[str] = None
     batch: bool = False
-    extra: Dict[str, object] = field(default_factory=dict)
 
 
 _LOCAL_SCHEDULERS: Dict[str, LocalSchedulerEntry] = {}

@@ -17,9 +17,10 @@ Three layers of evidence:
 - new randomized-policy and fault-plan sweeps compared scalar-vs-batch
   live, including heterogeneous many-run batches (mixed policies, seeds,
   and fault plans advancing in one ``BatchSimulator``);
-- campaign-level equivalence: ``run_campaign(batch="auto")`` produces the
-  same results, outcomes, and store contents as ``batch="off"``, serially
-  and in parallel, and dissolves failed groups into unbumped singles.
+- campaign-level equivalence: campaign grouping — the one entry to the
+  batch engine — produces the same results, outcomes, and store contents
+  as the same campaign with grouping patched out, serially and in
+  parallel, and dissolves failed groups into unbumped singles.
 """
 
 from __future__ import annotations
@@ -30,16 +31,12 @@ from unittest import mock
 import pytest
 
 import repro.obs as obs
+import repro.runner.pool as runner_pool
 import repro.runner.tasks as runner_tasks
 from repro.faults import FaultPlan, FaultSpec
 from repro.runner import CampaignCell, CampaignSpec, run_campaign
 from repro.runner.spec import CACHE_SCHEMA
-from repro.sim.batch import (
-    BatchRunAdapter,
-    batch_compatible,
-    batch_group_key,
-    run_specs_batched,
-)
+from repro.sim.batch import batch_compatible, batch_group_key, run_specs_batched
 from repro.sim.behaviors import ChannelScript
 from repro.sim.config import RunSpec, SystemSpec
 from repro.sim.engine import Simulator
@@ -93,7 +90,6 @@ def _case_spec(policy, faults, system_kind="three_partition", horizon=HORIZON_US
         horizon=horizon,
         channel=channel,
         faults=_fault_plan() if faults else None,
-        engine="batch",
     )
 
 
@@ -107,9 +103,7 @@ def _batch_run_case(policy, faults, obs_on, system_kind="three_partition",
     if obs_on and not was_enabled:
         obs.enable()
     try:
-        sim = Simulator.from_spec(spec, observers=[recorder, jobs])
-        assert isinstance(sim, BatchRunAdapter), "engine='batch' must dispatch"
-        result = sim.run_until(horizon)
+        [result] = run_specs_batched([spec], observers=[[recorder, jobs]])
     finally:
         if obs_on and not was_enabled:
             obs.disable()
@@ -234,42 +228,15 @@ def test_heterogeneous_batch_equals_scalar_per_run():
 # ---------------------------------------------------------------- plumbing
 
 
-def test_engine_field_is_hash_neutral_and_validated():
-    base = RunSpec(system=SystemSpec.named("three_partition"), policy="timedice",
-                   seed=1, horizon=50_000)
-    batch = RunSpec(system=SystemSpec.named("three_partition"), policy="timedice",
-                    seed=1, horizon=50_000, engine="batch")
-    # Bit-identical backends must share one cache entry.
-    assert base.content_hash() == batch.content_hash()
-    # The default engine round-trips to a doc without the field at all, so
-    # pre-engine-field documents compare byte-identical.
-    assert "engine" not in base.to_dict()
-    assert batch.to_dict()["engine"] == "batch"
-    assert RunSpec.from_dict(batch.to_dict()).engine == "batch"
-    with pytest.raises(ValueError, match="unknown engine"):
-        RunSpec(system=SystemSpec.named("three_partition"), policy="timedice",
-                seed=1, horizon=50_000, engine="warp")
-
-
-def test_from_spec_dispatch_and_fallback():
+def test_legacy_engine_key_is_ignored_and_hash_neutral():
+    """A document written when specs carried an ``engine`` selector loads,
+    runs on the scalar engine, and keeps its content address."""
     spec = RunSpec(system=SystemSpec.named("three_partition"), policy="timedice",
-                   seed=1, horizon=50_000, engine="batch")
-    assert isinstance(Simulator.from_spec(spec), BatchRunAdapter)
-    # Unsupported options fall back to the scalar engine, never erroring.
-    donation = RunSpec(system=SystemSpec.named("three_partition"),
-                       policy="timedice", seed=1, horizon=50_000,
-                       engine="batch", budget_donation=True)
-    assert batch_compatible(donation) is not None
-    assert isinstance(Simulator.from_spec(donation), Simulator)
-
-
-def test_adapter_is_single_shot():
-    spec = RunSpec(system=SystemSpec.named("three_partition"), policy="norandom",
-                   seed=1, horizon=50_000, engine="batch")
-    adapter = Simulator.from_spec(spec)
-    adapter.run_until(spec.horizon)
-    with pytest.raises(RuntimeError, match="resumed runs"):
-        adapter.run_until(spec.horizon)
+                   seed=1, horizon=50_000)
+    legacy = RunSpec.from_dict({**spec.to_dict(), "engine": "batch"})
+    assert legacy == spec
+    assert legacy.content_hash() == spec.content_hash()
+    assert isinstance(Simulator.from_spec(legacy), Simulator)
 
 
 def test_run_specs_batched_requires_one_horizon():
@@ -309,17 +276,23 @@ def test_simulate_cell_payload_is_engine_neutral():
 # ---------------------------------------------------- campaign equivalence
 
 
-def _sim_cells(count=6, horizon=80_000):
+def _sim_cells(count=6, horizon=80_000, **fields):
     cells = []
     for index in range(count):
         policy = ("norandom", "timedice", "timedice-uniform")[index % 3]
         spec = RunSpec(system=SystemSpec.named("three_partition"), policy=policy,
-                       seed=index, horizon=horizon)
+                       seed=index, horizon=horizon, **fields)
         cells.append(
             CampaignCell(f"{policy}/s{index}", "repro.runner.tasks:simulate_cell",
                          {"runspec": spec.to_dict()})
         )
     return cells
+
+
+def _ungrouped(spec, cache):
+    """The per-cell reference: ``spec`` run with campaign grouping patched out."""
+    with mock.patch.object(runner_pool, "_group_pending", side_effect=list):
+        return run_campaign(spec, jobs=1, cache=cache)
 
 
 def _store_dump(path):
@@ -330,19 +303,22 @@ def _store_dump(path):
         store.close()
 
 
-def test_campaign_batch_auto_equals_off(tmp_path):
+def test_campaign_grouped_equals_ungrouped(tmp_path):
     spec = CampaignSpec(name="batch-eq", cells=_sim_cells())
-    off = run_campaign(spec, jobs=1, batch="off", cache=f"json:{tmp_path/'off'}")
-    auto = run_campaign(CampaignSpec(name="batch-eq", cells=_sim_cells()),
-                        jobs=1, batch="auto", cache=f"json:{tmp_path/'auto'}")
+    off = _ungrouped(spec, f"json:{tmp_path/'off'}")
+    with mock.patch.object(runner_tasks, "simulate_batch",
+                           wraps=runner_tasks.simulate_batch) as spy:
+        auto = run_campaign(CampaignSpec(name="batch-eq", cells=_sim_cells()),
+                            jobs=1, cache=f"json:{tmp_path/'auto'}")
+    assert spy.called, "compatible cells must be grouped"
     par = run_campaign(CampaignSpec(name="batch-eq", cells=_sim_cells()),
-                       jobs=2, batch="auto", cache=f"json:{tmp_path/'par'}")
+                       jobs=2, cache=f"json:{tmp_path/'par'}")
     assert off.results == auto.results == par.results
     assert _store_dump(tmp_path / "off") == _store_dump(tmp_path / "auto")
     assert _store_dump(tmp_path / "off") == _store_dump(tmp_path / "par")
     # Resume invariant: a re-run against the grouped store is all cache hits.
     again = run_campaign(CampaignSpec(name="batch-eq", cells=_sim_cells()),
-                         jobs=1, batch="auto", cache=f"json:{tmp_path/'auto'}")
+                         jobs=1, cache=f"json:{tmp_path/'auto'}")
     assert all(outcome.cached for outcome in again.outcomes.values())
 
 
@@ -350,20 +326,28 @@ def test_campaign_group_failure_dissolves_to_unbumped_singles(tmp_path):
     spec = CampaignSpec(name="batch-fb", cells=_sim_cells(count=5))
     with mock.patch.object(runner_tasks, "simulate_batch",
                            side_effect=RuntimeError("boom")):
-        result = run_campaign(spec, jobs=1, batch="auto",
-                              cache=f"json:{tmp_path/'fb'}")
+        result = run_campaign(spec, jobs=1, cache=f"json:{tmp_path/'fb'}")
     assert all(outcome.ok for outcome in result.outcomes.values())
     # The fallback singles are each cell's FIRST attempt — no retry burned.
     assert all(outcome.attempts == 1 for outcome in result.outcomes.values())
-    reference = run_campaign(CampaignSpec(name="batch-fb", cells=_sim_cells(count=5)),
-                             jobs=1, batch="off", cache=f"json:{tmp_path/'ref'}")
+    reference = _ungrouped(CampaignSpec(name="batch-fb", cells=_sim_cells(count=5)),
+                           f"json:{tmp_path/'ref'}")
     assert result.results == reference.results
 
 
-def test_campaign_batch_validation():
-    with pytest.raises(ValueError, match="batch must be"):
-        run_campaign(CampaignSpec(name="x", cells=_sim_cells(count=2)),
-                     batch="sometimes")
+def test_budget_donation_campaign_never_groups():
+    """Donation cells skip grouping and match per-cell ``simulate_cell``."""
+    cells = _sim_cells(count=3, budget_donation=True)
+    assert batch_compatible(RunSpec.from_dict(cells[0].params["runspec"])) == (
+        "budget_donation"
+    )
+    with mock.patch.object(runner_tasks, "simulate_batch",
+                           wraps=runner_tasks.simulate_batch) as spy:
+        result = run_campaign(CampaignSpec(name="batch-donation", cells=cells), jobs=1)
+    assert not spy.called
+    assert result.results == {
+        cell.key: runner_tasks.simulate_cell(cell.params) for cell in cells
+    }
 
 
 def test_campaign_obs_gate_disables_grouping(tmp_path):
@@ -371,11 +355,12 @@ def test_campaign_obs_gate_disables_grouping(tmp_path):
     obs.enable()
     try:
         with mock.patch.object(runner_tasks, "simulate_batch",
-                               side_effect=AssertionError("must not group")):
+                               wraps=runner_tasks.simulate_batch) as spy:
             result = run_campaign(
                 CampaignSpec(name="batch-obs", cells=_sim_cells(count=3)),
-                jobs=1, batch="auto", cache=f"json:{tmp_path/'obs'}",
+                jobs=1, cache=f"json:{tmp_path/'obs'}",
             )
     finally:
         obs.disable()
+    assert not spy.called
     assert all(outcome.ok for outcome in result.outcomes.values())

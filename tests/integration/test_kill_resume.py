@@ -4,11 +4,13 @@ result.
 The headline service invariant: kill -9 against a running campaign loses no
 completed work and changes no bytes of the final merged result. A driver
 subprocess runs a slow campaign against a store + journal; the test kills
-it once the store holds a few entries, re-runs the same campaign in-process
-(``--resume`` semantics), and compares the merged results — and the store
-contents — against an uninterrupted reference run.
+its whole process group (driver and pool workers) once the store holds a
+few entries, checks no process of the group outlives the kill, re-runs the
+same campaign in-process (``--resume`` semantics), and compares the merged
+results — and the store contents — against an uninterrupted reference run.
 """
 
+import importlib.util
 import os
 import signal
 import subprocess
@@ -57,6 +59,16 @@ def _store_url(backend, tmp_path: Path, name: str) -> str:
     return f"sqlite:{tmp_path / name}.db"
 
 
+def _running_in_group(pgid: int) -> list:
+    """The CI kill-resume script's check: pids of process group ``pgid``
+    still running 5 s on (zombies count as gone)."""
+    path = REPO_ROOT / "scripts" / "kill_resume_check.py"
+    spec = importlib.util.spec_from_file_location("kill_resume_check", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script._running_in_group(pgid)
+
+
 def _count(store_url: str) -> int:
     handle = open_store(store_url)
     try:
@@ -84,6 +96,7 @@ def test_sigkill_then_resume_is_byte_identical(tmp_path, backend):
         [sys.executable, str(driver)],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 60.0
@@ -95,9 +108,10 @@ def test_sigkill_then_resume_is_byte_identical(tmp_path, backend):
             time.sleep(0.02)
         else:
             pytest.fail("driver campaign never stored an entry")
-        os.kill(process.pid, signal.SIGKILL)
     finally:
+        os.killpg(process.pid, signal.SIGKILL)
         process.wait(timeout=30)
+    assert _running_in_group(process.pid) == [], "pool workers outlived the kill"
 
     surviving = _count(store_url)
     assert 2 <= surviving < CELLS, "kill landed outside the campaign window"

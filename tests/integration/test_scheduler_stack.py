@@ -11,23 +11,24 @@ refactor made:
    silently stop matching their cells.
 2. **Sound non-default caching** — a non-``fp`` scheduler is folded into
    the spec document (and therefore every content hash and campaign-cell
-   identity), and the batch engine refuses such specs via the gated
-   ``batch.fallback.scheduler`` path with scalar-parity results.
+   identity), and campaign grouping never takes such cells onto the batch
+   engine, so they keep scalar-parity results.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
 import repro.obs as obs
+import repro.runner.tasks as runner_tasks
 from repro.experiments import defense_matrix, fig12_accuracy
-from repro.runner import derive_seed
-from repro.sim.batch import BATCH_METRICS, BatchRunAdapter, batch_compatible
+from repro.runner import CampaignCell, CampaignSpec, derive_seed, run_campaign
+from repro.sim.batch import batch_compatible
 from repro.sim.config import RunSpec, SystemSpec
 from repro.sim.engine import Simulator
-from repro.sim.trace import Observer
 
 # Captured before RunSpec grew the ``scheduler`` field (PR 9 state).
 PINNED_SPEC_HASHES = [
@@ -140,26 +141,23 @@ class TestCampaignCellsPinned:
         assert all(c.params["runspec"]["scheduler"] == "edf" for c in extra)
 
 
-class _JobLog(Observer):
-    def __init__(self):
-        self.rows = []
-
-    def on_job_complete(self, record) -> None:
-        self.rows.append(
-            (record.task, record.partition, record.arrival,
-             record.started_at, record.finished_at, record.demand)
-        )
-
-
-def _batch_spec(scheduler="fp"):
+def _batch_spec(scheduler="fp", seed=7):
     return RunSpec(
         system=SystemSpec.named("three_partition"),
         policy="timedice",
-        seed=7,
+        seed=seed,
         horizon=80_000,
-        engine="batch",
         scheduler=scheduler,
     )
+
+
+def _campaign(scheduler):
+    cells = [
+        CampaignCell(f"s{seed}", "repro.runner.tasks:simulate_cell",
+                     {"runspec": _batch_spec(scheduler, seed).to_dict()})
+        for seed in (7, 8, 9)
+    ]
+    return CampaignSpec(name=f"sched-{scheduler}", cells=cells)
 
 
 class TestBatchFallback:
@@ -167,27 +165,24 @@ class TestBatchFallback:
         assert batch_compatible(_batch_spec("edf")) == "scheduler"
         assert batch_compatible(_batch_spec("fp")) is None
 
-    def test_fallback_counter_and_scalar_dispatch(self):
-        obs.enable()
-        sim = Simulator.from_spec(_batch_spec("edf"))
-        assert isinstance(sim, Simulator)  # scalar engine, not the adapter
-        snapshot = BATCH_METRICS.snapshot()
-        assert snapshot["batch.fallback"] == 1
-        assert snapshot["batch.fallback.scheduler"] == 1
-        assert isinstance(Simulator.from_spec(_batch_spec("fp")), BatchRunAdapter)
+    def test_non_fp_campaign_never_groups(self):
+        """Grouping takes fp cells onto the batch engine, never edf ones."""
+        for scheduler, grouped in (("edf", False), ("fp", True)):
+            with mock.patch.object(runner_tasks, "simulate_batch",
+                                   wraps=runner_tasks.simulate_batch) as spy:
+                run_campaign(_campaign(scheduler), jobs=1)
+            assert spy.called is grouped, scheduler
 
     def test_fallback_scalar_parity(self):
-        """engine="batch" + non-fp scheduler produces exactly the scalar run."""
-        logs = []
-        for engine in ("batch", "scalar"):
-            spec = dataclasses.replace(_batch_spec("edf"), engine=engine)
-            log = _JobLog()
-            sim = Simulator.from_spec(spec, observers=[log])
-            result = sim.run_until(spec.horizon)
-            logs.append((log.rows, result.decisions, result.switches,
-                         result.deadline_misses))
-        assert logs[0] == logs[1]
-        assert logs[0][0], "runs completed no jobs; parity check is vacuous"
+        """A non-fp campaign produces exactly the per-cell scalar runs."""
+        campaign = _campaign("edf")
+        result = run_campaign(campaign, jobs=1)
+        assert result.results == {
+            cell.key: runner_tasks.simulate_cell(cell.params) for cell in campaign
+        }
+        assert all(value["decisions"] > 0 for value in result.results.values()), (
+            "runs made no decisions; parity check is vacuous"
+        )
 
 
 class TestEDFVetting:

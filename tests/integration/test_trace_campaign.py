@@ -3,10 +3,10 @@
 Pins the interaction of trace capture with the two execution surfaces that
 cannot honour it transparently:
 
-- the **batch engine** records no per-run segments, so a spec asking for
-  ``engine="batch"`` while a capture is active falls back to the scalar
-  engine (which self-registers and traces), with the reasoned
-  ``batch.fallback.obs_capture`` counter saying why;
+- the **batch engine** records no per-run segments, so while a capture is
+  active (and with it the obs gate) campaign grouping stays off and every
+  cell runs on the scalar engine, which self-registers and traces; the
+  reasoned ``pool.batch_fallback.obs_enabled`` counter says why;
 - **forked pool workers** inherit the capture object but their
   registrations can never reach the parent's trace file, so the pool drops
   them and ships the gated ``trace.worker_runs_dropped`` count back in the
@@ -16,23 +16,28 @@ cannot honour it transparently:
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import repro.obs as obs
+import repro.runner.tasks as runner_tasks
 from repro.experiments import fig12_accuracy
-from repro.runner import run_campaign, session_stats
-from repro.sim.batch import BATCH_METRICS, BatchRunAdapter
+from repro.runner import CampaignCell, CampaignSpec, run_campaign, session_stats
+from repro.runner.pool import POOL_METRICS
 from repro.sim.config import RunSpec, SystemSpec
-from repro.sim.engine import Simulator
 
 
-def batch_spec(seed=3):
-    return RunSpec(
-        system=SystemSpec.named("three_partition"),
-        policy="timedice",
-        seed=seed,
-        horizon=50_000,
-        engine="batch",
-    )
+def sim_campaign():
+    """Three batch-compatible cells plus one EDF cell grouping never takes."""
+    specs = [
+        RunSpec(system=SystemSpec.named("three_partition"), policy="timedice",
+                seed=seed, horizon=50_000, scheduler=scheduler)
+        for seed, scheduler in ((1, "fp"), (2, "fp"), (3, "fp"), (4, "edf"))
+    ]
+    return CampaignSpec(name="trace-cells", cells=[
+        CampaignCell(f"s{spec.seed}", "repro.runner.tasks:simulate_cell",
+                     {"runspec": spec.to_dict()})
+        for spec in specs
+    ])
 
 
 def small_campaign(seed=3):
@@ -49,23 +54,25 @@ class TestTraceUnderBatchEngine:
         obs.enable()
         obs.start_trace_capture()
         try:
-            sim = Simulator.from_spec(batch_spec())
-            assert isinstance(sim, Simulator)
-            sim.run_until(50_000)
+            with mock.patch.object(runner_tasks, "simulate_batch",
+                                   wraps=runner_tasks.simulate_batch) as spy:
+                run_campaign(sim_campaign(), jobs=1)
         finally:
             captured = obs.stop_trace_capture()
-        snapshot = BATCH_METRICS.snapshot()
-        assert snapshot["batch.fallback"] == 1
-        assert snapshot["batch.fallback.obs_capture"] == 1
-        # the scalar fallback self-registered, so the trace is not empty
-        assert len(captured) == 1
-        assert len(captured[0].segments) > 0
+        assert not spy.called
+        assert POOL_METRICS.snapshot()["pool.batch_fallback.obs_enabled"] == 1
+        # every cell ran on the scalar engine, which self-registered, so the
+        # trace holds one non-empty run per cell
+        assert len(captured) == len(sim_campaign())
+        assert all(len(run.segments) > 0 for run in captured)
 
     def test_no_capture_still_dispatches_batch(self):
-        obs.enable()
-        sim = Simulator.from_spec(batch_spec())
-        assert isinstance(sim, BatchRunAdapter)
-        assert BATCH_METRICS.snapshot().get("batch.fallback.obs_capture", 0) == 0
+        with mock.patch.object(runner_tasks, "simulate_batch",
+                               wraps=runner_tasks.simulate_batch) as spy:
+            run_campaign(sim_campaign(), jobs=1)
+        # the three fp cells form one group; the EDF cell runs alone
+        assert spy.call_count == 1
+        assert len(spy.call_args.args[0]["runspecs"]) == 3
 
 
 class TestTraceUnderJobs:

@@ -120,6 +120,13 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "Table IV" in out
 
+    def test_malformed_faults_leaves_no_listener(self):
+        from repro.runner.telemetry import default_listeners
+
+        with pytest.raises(SystemExit, match="--faults"):
+            main(["fig6", "--quick", "--faults", "bogus:"])
+        assert default_listeners() == []
+
     def test_every_command_is_callable(self):
         for name, command in COMMANDS.items():
             leaves = command.verbs.values() if command.verbs else [command]

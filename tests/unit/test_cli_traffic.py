@@ -323,8 +323,10 @@ def test_issued_argv_parses_to_its_runner(line):
         ({"faults": "overrun:Pi_3:rate=0.5,mag=3"}, {"faults": "overrun:Pi_3:rate=0.5,mag=3"}),
         ({"no_cache": True, "store": "sqlite:/w/r.db", "faults": "crash:Pi_1"},
          {"no_cache": True, "faults": "crash:Pi_1"}),
+        ({"scale": "default"}, {"scale": "default"}),
+        ({"scale": "full"}, {"scale": "full"}),
     ],
-    ids=["plain", "no_cache", "store", "faults", "all"],
+    ids=["plain", "no_cache", "store", "faults", "all", "scale_default", "scale_full"],
 )
 def test_dispatcher_argv_parses_to_its_runner(tmp_path, request_fields, overrides):
     dispatcher = Dispatcher(tmp_path / "service", jobs=2)
@@ -334,3 +336,11 @@ def test_dispatcher_argv_parses_to_its_runner(tmp_path, request_fields, override
         "journal_dir": str(dispatcher.journal_root), **overrides,
     }
     _check(dispatcher.campaign_argv(request), cli._run_load_sweep, overrides)
+
+
+def test_dispatcher_argv_rejects_unknown_scale(tmp_path):
+    dispatcher = Dispatcher(tmp_path / "service", jobs=2)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            dispatcher.campaign_argv({"target": "load-sweep", "scale": "huge"})
+        )

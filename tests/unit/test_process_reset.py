@@ -32,9 +32,8 @@ from repro.runner.telemetry import (
 )
 from repro.store import note_corrupt_entry
 
-# Importing these enrolls their registries, so all five are dirtied below.
+# Importing this enrolls its registry, so all four are dirtied below.
 import repro.cluster  # noqa: F401
-import repro.sim.batch  # noqa: F401
 
 
 def _warnings(fn) -> int:
@@ -48,7 +47,7 @@ def test_reset_restores_every_piece_of_process_state(tmp_path):
     ambient = FaultPlan.of(FaultSpec("overrun", "Pi_2", rate=1.0, magnitude=2.0))
     explicit = FaultPlan.of(FaultSpec("jitter", "Pi_1", rate=1.0, magnitude=100.0))
     registries = process_registries()
-    assert {r.scope for r in registries} >= {"pool", "store", "service", "batch", "cluster"}
+    assert {r.scope for r in registries} >= {"pool", "store", "service", "cluster"}
 
     register(CampaignTelemetry("dirty"))
     add_default_listener(lambda telemetry, event: None)

@@ -4,15 +4,17 @@ and the enriched TDMA unschedulability diagnostics."""
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
+import repro.runner.tasks as runner_tasks
 import repro.sim.registry as registry
 from repro._time import ms
 from repro.model.partition import Partition
 from repro.model.system import System
 from repro.model.task import Task
-from repro.runner import derive_seed
+from repro.runner import CampaignCell, CampaignSpec, derive_seed, run_campaign
 from repro.sim.batch import batch_compatible
 from repro.sim.config import RunSpec, SystemSpec
 from repro.sim.engine import Simulator
@@ -157,12 +159,18 @@ class TestThirdPartySchedulerEndToEnd:
             policy="my-fp",
             seed=1,
             horizon=40_000,
-            engine="batch",
         )
         assert batch_compatible(spec) == "policy"
-        sim = Simulator.from_spec(spec)
-        assert isinstance(sim, Simulator)
-        sim.run_until(spec.horizon)
+        cells = [
+            CampaignCell(f"s{seed}", "repro.runner.tasks:simulate_cell",
+                         {"runspec": spec.replace(seed=seed).to_dict()})
+            for seed in (1, 2)
+        ]
+        with mock.patch.object(runner_tasks, "simulate_batch",
+                               wraps=runner_tasks.simulate_batch) as spy:
+            result = run_campaign(CampaignSpec(name="my-fp", cells=cells), jobs=1)
+        assert not spy.called
+        assert all(outcome.ok for outcome in result.outcomes.values())
 
     def test_factory_and_scheduler_field_conflict(self):
         system = SystemSpec.named("three_partition").build()
