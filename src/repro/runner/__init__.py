@@ -6,10 +6,10 @@ loops of the experiment modules into declarative, cacheable, parallel
 
 - :mod:`repro.runner.spec` — :class:`CampaignSpec`/:class:`CampaignCell`
   grids with stable content hashes;
-- :mod:`repro.runner.pool` — :func:`run_campaign`: serial or
-  ``ProcessPoolExecutor``-backed execution with per-task timeouts, bounded
-  exponential-backoff retries, and graceful degradation to serial when the
-  pool keeps dying;
+- :mod:`repro.runner.pool` — :func:`run_campaign`: one supervisor loop,
+  in-process or ``ProcessPoolExecutor``-backed, with per-task timeouts,
+  bounded exponential-backoff retries, and graceful degradation to
+  in-process execution when the pool keeps dying;
 - :mod:`repro.runner.cache` — the content-addressed result cache, now a
   shim over :mod:`repro.store` (JSON files or WAL-mode SQLite, selected by
   store URL) keyed on cell hash + code-version salt;

@@ -1,17 +1,22 @@
-"""Campaign execution: serial loop or process pool, with cache and retries.
+"""Campaign execution: one supervisor loop, with cache and retries.
 
 :func:`run_campaign` is the single entry point. It
 
 1. resolves every cell against the result cache (cached cells never touch a
    worker);
-2. executes the misses — serially when ``jobs=1``, else on a
-   ``ProcessPoolExecutor`` whose submission window is bounded by ``jobs`` so
-   per-attempt timeouts measure *execution* time, not queue time;
+2. executes the misses in one supervisor loop — on an in-process executor
+   when ``jobs=1``, else on a ``ProcessPoolExecutor`` whose submission
+   window is bounded by ``jobs`` so per-attempt timeouts measure
+   *execution* time, not queue time;
 3. retries failed attempts with exponential backoff, kills and rebuilds the
    pool on per-task timeout or worker death, and **degrades gracefully to
-   serial execution** once the pool has been rebuilt too many times;
+   in-process execution** once the pool has been rebuilt too many times;
 4. merges results **in spec order** — never completion order — so
    ``jobs=N`` and ``jobs=1`` produce identical result mappings.
+
+Each cell fact (scheduled, cached, started, computed, retried, failed,
+timed out) is stated once, through ``_CampaignRunner.emit``, which writes
+it to the journal, the telemetry and the event log.
 
 Cells are shipped to workers as ``(task_path, params)`` pairs — no closures
 cross the process boundary — and results flow back as JSON-serializable
@@ -20,6 +25,7 @@ values, which is also what the cache persists.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
@@ -28,7 +34,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.events import EVENTS
 from repro.obs.events import emit as emit_event
@@ -43,14 +49,16 @@ from repro.runner.telemetry import (
     FAILED,
     RETRIED,
     SCHEDULED,
+    STARTED,
+    TIMED_OUT,
     CampaignTelemetry,
     CellEvent,
     default_listeners,
     register,
 )
 
-#: Poll interval of the parallel supervisor loop (seconds). Bounds how late
-#: a per-task timeout can fire.
+#: Poll interval of the supervisor loop (seconds). Bounds how late a
+#: per-task timeout can fire.
 _TICK = 0.05
 
 #: The one task the pool may group through the batch engine, and the task
@@ -226,17 +234,18 @@ def _group_pending(pending: List[_Attempt]) -> List[Union[_Attempt, _GroupAttemp
 
     Only ``simulate_cell`` attempts whose specs share one
     :func:`repro.sim.batch.batch_group_key` (system shape + horizon) are
-    grouped, in chunks of :data:`BATCH_GROUP_CAP`, and only while the obs
-    gate is disabled — per-run instrumentation (engine counters, decide
-    histograms, run-log rollups) is per-cell by contract and must not be
-    pooled across a group. Everything else passes through untouched.
-    This is the one entry to the batch engine.
+    grouped, in chunks of :data:`BATCH_GROUP_CAP`, and only while neither
+    the obs gate nor a trace capture is on — per-run instrumentation
+    (engine counters, decide histograms, run-log rollups) is per-cell by
+    contract and must not be pooled across a group, and the batch engine
+    registers no runs with a capture. Everything else passes through
+    untouched. This is the one entry to the batch engine.
     """
     if len(pending) < 2:
         return list(pending)
     import repro.obs as _obs
 
-    if _obs.GATE.enabled:
+    if _obs.GATE.enabled or _obs.trace_capture() is not None:
         # Grouping is skipped wholesale while instrumented; the reasoned
         # counter keeps `repro stats` able to say why no groups formed.
         POOL_METRICS.counter("pool.batch_fallback.obs_enabled").inc()
@@ -298,20 +307,21 @@ def run_campaign(
 
     Pending ``simulate_cell`` attempts that share a system shape and horizon
     run in groups through the batch engine (:mod:`repro.sim.batch`) while
-    the obs gate is disabled. That engine is bit-identical to the scalar
-    one, and every store write, journal record and telemetry event still
-    happens per cell, so grouping never changes what a campaign records.
+    neither the obs gate nor a trace capture is on. That engine is
+    bit-identical to the scalar one, and every store write, journal record
+    and telemetry event still happens per cell, so grouping never changes
+    what a campaign records.
 
     Args:
         spec: The campaign to run.
-        jobs: Worker processes; ``1`` runs serially in-process.
+        jobs: Worker processes; ``1`` runs in-process, one cell at a time.
         cache: ``None`` (no caching), a store URL or directory path
             (``"json:.repro_cache"``, ``"sqlite:results.db"``, bare path =
             JSON), or a :class:`~repro.store.ResultStore`. Hits skip
             execution entirely.
-        timeout: Per-attempt wall-clock limit in seconds (parallel mode
+        timeout: Per-attempt wall-clock limit in seconds (pool workers
             only — a timed-out worker is killed and the pool rebuilt;
-            serial attempts cannot be preempted and run to completion).
+            in-process attempts cannot be preempted and run to completion).
         retries: Extra attempts after the first, per cell.
         backoff: Base of the exponential retry delay
             (``backoff * 2**(attempt-1)`` seconds).
@@ -322,7 +332,7 @@ def run_campaign(
             after all cells have terminated; ``"keep"`` records failures in
             the outcomes and returns normally.
         max_pool_rebuilds: Pool kill/rebuild budget (timeouts + worker
-            deaths) before degrading to serial execution.
+            deaths) before degrading to in-process execution.
         journal: ``None`` (no journaling), a directory path (the journal
             file is derived from the campaign's spec hash), or a
             :class:`~repro.service.journal.CampaignJournal`. The journal
@@ -352,30 +362,6 @@ def run_campaign(
         set_context(campaign=spec.name)
         emit_event("campaign.begin", total=len(spec), jobs=jobs)
     outcomes: Dict[str, CellOutcome] = {}
-    pending: List[_Attempt] = []
-    for cell in spec:
-        content_hash = cell.content_hash(salt)
-        tele.emit(CellEvent(SCHEDULED, cell.key))
-        if store is not None:
-            value = store.get(content_hash)
-            if value is not MISS:
-                outcomes[cell.key] = CellOutcome(cell.key, value=value, cached=True)
-                if prior is not None and content_hash in prior.completed:
-                    # This hit is a cell an interrupted earlier generation
-                    # of *this* campaign completed — a resume, not merely a
-                    # warm cache shared with some other campaign.
-                    tele.resumed += 1
-                tele.emit(CellEvent(CACHED, cell.key))
-                if EVENTS.active:
-                    emit_event("cell.cached", cell=cell.key)
-                continue
-        pending.append(_Attempt(cell, content_hash))
-
-    if log is not None:
-        log.begin(spec.name, spec.spec_hash(salt), len(spec), salt)
-        for attempt in pending:
-            log.submitted(attempt.content_hash, attempt.cell.key)
-
     runner = _CampaignRunner(
         spec=spec,
         store=store,
@@ -387,6 +373,25 @@ def run_campaign(
         outcomes=outcomes,
         journal=log,
     )
+    pending: List[_Attempt] = []
+    for cell in spec:
+        attempt = _Attempt(cell, cell.content_hash(salt))
+        value = MISS if store is None else store.get(attempt.content_hash)
+        if value is MISS:
+            pending.append(attempt)
+            continue
+        outcomes[cell.key] = CellOutcome(cell.key, value=value, cached=True)
+        if prior is not None and attempt.content_hash in prior.completed:
+            # This hit is a cell an interrupted earlier generation of *this*
+            # campaign completed — a resume, not merely a warm cache shared
+            # with some other campaign.
+            tele.resumed += 1
+        runner.emit(CACHED, attempt)
+
+    if log is not None:
+        log.begin(spec.name, spec.spec_hash(salt), len(spec), salt)
+    for attempt in pending:
+        runner.emit(SCHEDULED, attempt)
     try:
         if pending:
             backend = cluster_backend()
@@ -396,11 +401,7 @@ def run_campaign(
                 # happens worker-side where the cells actually execute.
                 backend.execute(runner, pending)
             else:
-                grouped = _group_pending(pending)
-                if jobs == 1:
-                    runner.run_serial(grouped)
-                else:
-                    runner.run_parallel(grouped, jobs)
+                runner.run(_group_pending(pending), jobs)
     finally:
         if log is not None and journal is not log:
             log.close()  # close only journals this call opened
@@ -432,6 +433,38 @@ def run_campaign(
     return result
 
 
+class _InlineExecutor:
+    """What ``jobs=1`` and a degraded pool run on: each call runs at submit,
+    in this process, into a finished future. ``KeyboardInterrupt`` and
+    ``SystemExit`` propagate."""
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 — the supervisor settles it
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+#: Cell fact -> the journal record that states it.
+_JOURNAL_RECORDS = {SCHEDULED: "submitted", COMPUTED: "completed", FAILED: "failed"}
+
+#: Cell fact -> the event-log record that states it, and its fields beyond
+#: ``cell``.
+_EVENT_RECORDS = {
+    CACHED: ("cell.cached", ()),
+    STARTED: ("cell.start", ("attempt",)),
+    COMPUTED: ("cell.complete", ("attempt", "wall_s", "worker")),
+    RETRIED: ("cell.retry", ("attempt", "error")),
+    FAILED: ("cell.failed", ("attempt", "error")),
+    TIMED_OUT: ("cell.timeout", ("attempt",)),
+}
+
+
 class _CampaignRunner:
     """Shared state of one :func:`run_campaign` invocation."""
 
@@ -457,18 +490,37 @@ class _CampaignRunner:
         self.outcomes = outcomes
         self.journal = journal
 
+    def emit(self, kind: str, attempt: _Attempt, **fields: Any) -> None:
+        """State one cell fact once, to every sink that records it: the
+        journal, the telemetry (and its listeners), the event log."""
+        key = attempt.cell.key
+        if self.journal is not None and kind in _JOURNAL_RECORDS:
+            error = (fields["error"],) if kind == FAILED else ()
+            record = getattr(self.journal, _JOURNAL_RECORDS[kind])
+            record(attempt.content_hash, key, *error)
+        event = CellEvent(kind, key, attempt=attempt.attempt, **fields)
+        self.telemetry.emit(event)
+        if EVENTS.active and kind in _EVENT_RECORDS:
+            name, names = _EVENT_RECORDS[kind]
+            values = {
+                "attempt": event.attempt,
+                "wall_s": round(event.wall, 6),
+                "worker": event.worker,
+                "error": event.error,
+            }
+            emit_event(name, cell=key, **{field: values[field] for field in names})
+
     # -- terminal transitions ---------------------------------------------
 
     def _complete(self, attempt: _Attempt, payload: Dict[str, Any]) -> None:
         cell = attempt.cell
-        outcome = CellOutcome(
+        self.outcomes[cell.key] = CellOutcome(
             key=cell.key,
             value=payload["value"],
             attempts=attempt.attempt,
             wall=payload["wall"],
             worker=payload["worker"],
         )
-        self.outcomes[cell.key] = outcome
         if self.store is not None:
             self.store.put(
                 attempt.content_hash,
@@ -480,44 +532,22 @@ class _CampaignRunner:
                     "wall_s": round(payload["wall"], 6),
                 },
             )
-        if self.journal is not None:
-            # Strictly after the store write: the journal may under-report
-            # completions (a crash between the two recomputes one cell) but
-            # must never claim a value the store does not hold.
-            self.journal.completed(attempt.content_hash, cell.key)
-        self.telemetry.emit(
-            CellEvent(
-                COMPUTED,
-                cell.key,
-                attempt=attempt.attempt,
-                wall=payload["wall"],
-                worker=payload["worker"],
-                obs=payload.get("obs"),
-            )
+        # Strictly after the store write: the journal may under-report
+        # completions (a crash between the two recomputes one cell) but
+        # must never claim a value the store does not hold.
+        self.emit(
+            COMPUTED,
+            attempt,
+            wall=payload["wall"],
+            worker=payload["worker"],
+            obs=payload.get("obs"),
         )
-        if EVENTS.active:
-            emit_event(
-                "cell.complete",
-                cell=cell.key,
-                attempt=attempt.attempt,
-                wall_s=round(payload["wall"], 6),
-                worker=payload["worker"],
-            )
         export_tick()
 
     def _retry_or_fail(self, attempt: _Attempt, error: str) -> Optional[_Attempt]:
         """Return the follow-up attempt, or record a terminal failure."""
         if attempt.attempt <= self.retries:
-            self.telemetry.emit(
-                CellEvent(RETRIED, attempt.cell.key, attempt=attempt.attempt, error=error)
-            )
-            if EVENTS.active:
-                emit_event(
-                    "cell.retry",
-                    cell=attempt.cell.key,
-                    attempt=attempt.attempt,
-                    error=error,
-                )
+            self.emit(RETRIED, attempt, error=error)
             delay = self.backoff * (2 ** (attempt.attempt - 1))
             return _Attempt(
                 attempt.cell,
@@ -528,226 +558,139 @@ class _CampaignRunner:
         self.outcomes[attempt.cell.key] = CellOutcome(
             key=attempt.cell.key, attempts=attempt.attempt, error=error
         )
-        if self.journal is not None:
-            self.journal.failed(attempt.content_hash, attempt.cell.key, error)
-        self.telemetry.emit(
-            CellEvent(FAILED, attempt.cell.key, attempt=attempt.attempt, error=error)
-        )
-        if EVENTS.active:
-            emit_event(
-                "cell.failed",
-                cell=attempt.cell.key,
-                attempt=attempt.attempt,
-                error=error,
-            )
+        self.emit(FAILED, attempt, error=error)
         return None
 
-    def _complete_group(self, group: _GroupAttempt, payload: Dict[str, Any]) -> bool:
-        """Fan a group payload out into per-member completions.
+    def _settle(
+        self,
+        item: Union[_Attempt, _GroupAttempt],
+        future: Optional[Future] = None,
+        error: str = "",
+        reason: str = "group_error",
+    ) -> List[_Attempt]:
+        """Complete ``item`` from its finished ``future``, or charge it the
+        future's exception or ``error``; returns the attempts to requeue.
 
-        Returns ``False`` (without completing anything) when the payload
-        does not line up with the members — the caller then dissolves the
-        group, exactly as for a group-level exception.
+        A charged single retries or fails. A charged group, or one whose
+        payload does not line up with its members, dissolves into its
+        members *unbumped*: the batch path has no retry accounting, so each
+        member's first single attempt is still its attempt #1. The gated
+        ``pool.batch_fallback`` counter and its per-``reason`` twin let
+        ``repro stats`` say why the batch engine was bypassed.
         """
-        results = payload.get("value", {}).get("results")
-        if not isinstance(results, list) or len(results) != len(group.members):
-            return False
-        share = payload["wall"] / len(group.members)
-        for member, value in zip(group.members, results):
-            self._complete(
-                member, {"value": value, "wall": share, "worker": payload["worker"]}
-            )
-        return True
-
-    @staticmethod
-    def _dissolve(group: _GroupAttempt, reason: str = "group_error") -> List[_Attempt]:
-        """A failed group's members, requeued as plain single attempts.
-
-        Unbumped on purpose: the batch path has no retry accounting of its
-        own, so the first single attempt of each member must still count as
-        that cell's attempt #1. The gated counters keep dissolutions
-        observable — the plain total plus one reasoned counter
-        (``pool.batch_fallback.group_error`` / ``payload_mismatch`` /
-        ``worker_died`` / ``timeout``) so ``repro stats`` can say *why*
-        the batch engine was bypassed.
-        """
-        POOL_METRICS.counter("pool.batch_fallback").inc()
-        POOL_METRICS.counter(f"pool.batch_fallback.{reason}").inc()
-        if EVENTS.active:
-            emit_event("batch.dissolve", size=len(group.members), reason=reason)
-        return list(group.members)
-
-    # -- serial path -------------------------------------------------------
-
-    def run_serial(self, pending: Sequence[Union[_Attempt, _GroupAttempt]]) -> None:
-        queue: List[Union[_Attempt, _GroupAttempt]] = list(pending)
-        while queue:
-            attempt = queue.pop(0)
-            gate = attempt.not_before - time.monotonic()
-            if gate > 0:
-                time.sleep(gate)
-            if isinstance(attempt, _GroupAttempt):
-                try:
-                    payload = _invoke_cell(_BATCH_TASK, attempt.params())
-                except Exception:  # noqa: BLE001 — singles will surface it
-                    queue.extend(self._dissolve(attempt, "group_error"))
-                else:
-                    if not self._complete_group(attempt, payload):
-                        queue.extend(self._dissolve(attempt, "payload_mismatch"))
-                continue
-            if EVENTS.active:
-                emit_event("cell.start", cell=attempt.cell.key, attempt=attempt.attempt)
-            try:
-                payload = _invoke_cell(attempt.cell.task, dict(attempt.cell.params))
-            except Exception as exc:  # noqa: BLE001 — any task error is retryable
-                follow_up = self._retry_or_fail(attempt, f"{type(exc).__name__}: {exc}")
-                if follow_up is not None:
-                    queue.append(follow_up)
+        payload = None
+        if future is not None:
+            exc = future.exception()
+            if exc is None:
+                payload = future.result()
             else:
-                self._complete(attempt, payload)
+                error = f"{type(exc).__name__}: {exc}"
+        if isinstance(item, _GroupAttempt):
+            if payload is not None:
+                results = payload.get("value", {}).get("results")
+                if isinstance(results, list) and len(results) == len(item.members):
+                    share = payload["wall"] / len(item.members)
+                    for member, value in zip(item.members, results):
+                        self._complete(
+                            member,
+                            {"value": value, "wall": share, "worker": payload["worker"]},
+                        )
+                    return []
+                reason = "payload_mismatch"
+            POOL_METRICS.counter("pool.batch_fallback").inc()
+            POOL_METRICS.counter(f"pool.batch_fallback.{reason}").inc()
+            if EVENTS.active:
+                emit_event("batch.dissolve", size=len(item.members), reason=reason)
+            return list(item.members)
+        if payload is not None:
+            self._complete(item, payload)
+            return []
+        follow_up = self._retry_or_fail(item, error)
+        return [] if follow_up is None else [follow_up]
 
-    # -- parallel path -----------------------------------------------------
+    # -- the supervisor loop -----------------------------------------------
 
-    def run_parallel(
-        self, pending: Sequence[Union[_Attempt, _GroupAttempt]], jobs: int
-    ) -> None:
+    def run(self, pending: Sequence[Union[_Attempt, _GroupAttempt]], jobs: int) -> None:
+        """Drive ``pending`` to terminal outcomes on at most ``jobs`` workers.
+
+        ``jobs=1`` runs on an in-process executor; so does a pool that has
+        used up ``max_pool_rebuilds``. At most ``jobs`` attempts are in
+        flight, so a submitted attempt starts (almost) immediately and its
+        timeout clock measures execution, not queueing.
+        """
         queue: List[Union[_Attempt, _GroupAttempt]] = list(pending)
-        inflight: Dict[Future, Union[_Attempt, _GroupAttempt]] = {}
-        deadlines: Dict[Future, Optional[float]] = {}
+        inflight: Dict[Future, Tuple[Union[_Attempt, _GroupAttempt], float]] = {}
         rebuilds = 0
         executor = self._new_executor(jobs)
         try:
             while queue or inflight:
                 now = time.monotonic()
-                # Fill the submission window: at most ``jobs`` futures in
-                # flight, so a submitted attempt starts (almost) immediately
-                # and its timeout clock measures execution, not queueing.
                 index = 0
                 while index < len(queue) and len(inflight) < jobs:
-                    attempt = queue[index]
-                    if attempt.not_before > now:
+                    item = queue[index]
+                    if item.not_before > now:
                         index += 1
                         continue
                     queue.pop(index)
-                    if isinstance(attempt, _GroupAttempt):
-                        future = executor.submit(
-                            _invoke_cell, _BATCH_TASK, attempt.params()
-                        )
-                        scale = len(attempt.members)  # one deadline per member
+                    if isinstance(item, _GroupAttempt):
+                        members, call = item.members, (_BATCH_TASK, item.params())
                     else:
-                        if EVENTS.active:
-                            emit_event(
-                                "cell.start",
-                                cell=attempt.cell.key,
-                                attempt=attempt.attempt,
-                            )
-                        future = executor.submit(
-                            _invoke_cell, attempt.cell.task, dict(attempt.cell.params)
-                        )
-                        scale = 1
-                    inflight[future] = attempt
-                    deadlines[future] = None if self.timeout is None else (
-                        time.monotonic() + self.timeout * scale
-                    )
+                        members, call = [item], (item.cell.task, dict(item.cell.params))
+                    for member in members:
+                        self.emit(STARTED, member)
+                    future = executor.submit(_invoke_cell, *call)
+                    limit = math.inf if self.timeout is None else self.timeout * len(members)
+                    inflight[future] = (item, time.monotonic() + limit)
                 if not inflight:
-                    time.sleep(_TICK)  # everything is backing off
+                    # Everything is backing off; nothing can happen until
+                    # the earliest gate opens.
+                    time.sleep(min(item.not_before for item in queue) - now)
                     continue
 
-                done, _ = wait(set(inflight), timeout=_TICK, return_when=FIRST_COMPLETED)
-                broken = False
-                for future in done:
-                    attempt = inflight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        # The pool is dead; every other in-flight future is
-                        # doomed too. Any of them may have killed the worker,
-                        # so singles get an attempt bump; groups dissolve
-                        # into unbumped singles (their members have not had
-                        # an individual attempt yet).
-                        for doomed in [attempt] + list(inflight.values()):
-                            if isinstance(doomed, _GroupAttempt):
-                                queue.extend(self._dissolve(doomed, "worker_died"))
-                                continue
-                            follow_up = self._retry_or_fail(
-                                doomed, "worker died (BrokenProcessPool)"
-                            )
-                            if follow_up is not None:
-                                queue.append(follow_up)
-                        inflight.clear()
-                        deadlines.clear()
-                        break
-                    except Exception as exc:  # noqa: BLE001
-                        if isinstance(attempt, _GroupAttempt):
-                            queue.extend(self._dissolve(attempt, "group_error"))
-                        else:
-                            follow_up = self._retry_or_fail(
-                                attempt, f"{type(exc).__name__}: {exc}"
-                            )
-                            if follow_up is not None:
-                                queue.append(follow_up)
-                    else:
-                        if isinstance(attempt, _GroupAttempt):
-                            if not self._complete_group(attempt, payload):
-                                queue.extend(self._dissolve(attempt, "payload_mismatch"))
-                        else:
-                            self._complete(attempt, payload)
-
-                if broken:
-                    _kill_executor(executor)
-                    rebuilds += 1
-                    if rebuilds > self.max_pool_rebuilds:
-                        if EVENTS.active:
-                            emit_event("pool.degraded", rebuilds=rebuilds)
-                        self.run_serial(queue)
-                        return
-                    if EVENTS.active:
-                        emit_event("pool.rebuild", rebuilds=rebuilds)
-                    executor = self._new_executor(jobs)
-                    continue
-
-                # Per-task timeout sweep: a stuck worker cannot be preempted
-                # through the executor API, so kill the whole pool, requeue
-                # the innocent in-flight attempts unbumped, and rebuild.
+                wait(list(inflight), timeout=_TICK, return_when=FIRST_COMPLETED)
                 now = time.monotonic()
-                timed_out = [
+                finished = [future for future in inflight if future.done()]
+                died = any(isinstance(f.exception(), BrokenProcessPool) for f in finished)
+                # A stuck worker cannot be preempted through the executor
+                # API: a timeout, like a dead worker, costs the whole pool.
+                expired = {
                     future
-                    for future, deadline in deadlines.items()
-                    if deadline is not None and now > deadline and not future.done()
-                ]
-                if timed_out:
-                    for future in timed_out:
-                        attempt = inflight.pop(future)
-                        deadlines.pop(future, None)
-                        if isinstance(attempt, _GroupAttempt):
-                            queue.extend(self._dissolve(attempt, "timeout"))
-                            continue
-                        if EVENTS.active:
-                            emit_event(
-                                "cell.timeout",
-                                cell=attempt.cell.key,
-                                attempt=attempt.attempt,
-                            )
-                        follow_up = self._retry_or_fail(
-                            attempt, f"timeout after {self.timeout:.3g}s"
-                        )
-                        if follow_up is not None:
-                            queue.append(follow_up)
-                    queue.extend(inflight.values())  # innocent bystanders
-                    inflight.clear()
-                    deadlines.clear()
-                    _kill_executor(executor)
-                    rebuilds += 1
-                    if rebuilds > self.max_pool_rebuilds:
-                        if EVENTS.active:
-                            emit_event("pool.degraded", rebuilds=rebuilds)
-                        self.run_serial(queue)
-                        return
-                    if EVENTS.active:
-                        emit_event("pool.rebuild", rebuilds=rebuilds)
-                    executor = self._new_executor(jobs)
+                    for future, (_, deadline) in inflight.items()
+                    if now > deadline and not future.done()
+                }
+                if not (died or expired):
+                    for future in finished:
+                        queue.extend(self._settle(inflight.pop(future)[0], future))
+                    continue
+
+                # Kill, settle and rebuild. Every result already in is kept.
+                # When the pool died, any unfinished attempt may have killed
+                # it and is charged; otherwise only the expired ones are, and
+                # innocent bystanders are requeued unbumped.
+                if died:
+                    error, reason = "worker died (BrokenProcessPool)", "worker_died"
+                else:
+                    error, reason = f"timeout after {self.timeout:.3g}s", "timeout"
+                for future, (item, _) in inflight.items():
+                    if future.done() and not isinstance(future.exception(), BrokenProcessPool):
+                        queue.extend(self._settle(item, future))
+                    elif died or future in expired:
+                        if not died and isinstance(item, _Attempt):
+                            self.emit(TIMED_OUT, item)
+                        queue.extend(self._settle(item, error=error, reason=reason))
+                    else:
+                        queue.append(item)
+                inflight.clear()
+                _kill_executor(executor)
+                rebuilds += 1
+                degraded = rebuilds > self.max_pool_rebuilds
+                if degraded:
+                    jobs = 1
+                if EVENTS.active:
+                    emit_event(
+                        "pool.degraded" if degraded else "pool.rebuild", rebuilds=rebuilds
+                    )
+                executor = self._new_executor(jobs)
         finally:
             if inflight or queue:
                 _kill_executor(executor)  # abnormal exit: reclaim workers
@@ -755,7 +698,9 @@ class _CampaignRunner:
                 executor.shutdown(wait=True, cancel_futures=True)
 
     @staticmethod
-    def _new_executor(jobs: int) -> ProcessPoolExecutor:
+    def _new_executor(jobs: int) -> Union[_InlineExecutor, ProcessPoolExecutor]:
+        if jobs == 1:
+            return _InlineExecutor()
         # Prefer fork on POSIX: workers inherit sys.path and imported
         # modules, so dotted-path task resolution works from any entry
         # point (pytest, ``python -m repro``, notebooks).

@@ -1,10 +1,10 @@
 """Structured campaign telemetry.
 
-The pool emits one :class:`CellEvent` per lifecycle step (scheduled, cached,
-computed, retried, failed); :class:`CampaignTelemetry` folds the stream into
-counters and per-worker wall-time aggregates, forwards every event to
-registered listeners (the CLI's live progress line is one), and serializes
-to JSON for archival.
+The pool emits one :class:`CellEvent` per lifecycle step (cached, scheduled,
+started, computed, retried, timed out, failed); :class:`CampaignTelemetry`
+folds the stream into counters and per-worker wall-time aggregates,
+forwards every event to registered listeners (the CLI's live progress line
+is one), and serializes to JSON for archival.
 
 A process-wide session registry accumulates the telemetry of every campaign
 run in this interpreter, so the CLI can print a single footer covering all
@@ -25,12 +25,20 @@ from repro.obs.registry import (
     register_reset,
 )
 
-#: Event kinds, in lifecycle order.
-SCHEDULED = "scheduled"
+#: Event kinds, in lifecycle order. A cell the store already holds gets
+#: only CACHED; every other cell is SCHEDULED (submitted for computation)
+#: once, then STARTED per attempt, which ends COMPUTED, RETRIED or FAILED
+#: (TIMED_OUT first when a pool worker ran past the attempt's timeout).
 CACHED = "cached"
+SCHEDULED = "scheduled"
+STARTED = "started"
 COMPUTED = "computed"
+TIMED_OUT = "timed_out"
 RETRIED = "retried"
 FAILED = "failed"
+
+#: The kinds that move a counter, and so the progress line.
+_COUNTED = (CACHED, COMPUTED, RETRIED, FAILED)
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,6 @@ class CampaignTelemetry:
         self.failed = 0
         self.retries = 0
         self.workers: Dict[str, WorkerStats] = {}
-        self.events: List[CellEvent] = []
         self.listeners: List[Callable[["CampaignTelemetry", CellEvent], None]] = []
         self.started = time.perf_counter()
         self.elapsed = 0.0
@@ -92,7 +99,6 @@ class CampaignTelemetry:
     # -- event stream ------------------------------------------------------
 
     def emit(self, event: CellEvent) -> None:
-        self.events.append(event)
         if event.kind == CACHED:
             self.cached += 1
         elif event.kind == COMPUTED:
@@ -235,7 +241,7 @@ class ProgressPrinter:
         return self.force or bool(getattr(self.stream, "isatty", lambda: False)())
 
     def __call__(self, telemetry: CampaignTelemetry, event: CellEvent) -> None:
-        if event.kind == SCHEDULED or not self._enabled():
+        if event.kind not in _COUNTED or not self._enabled():
             return
         self.stream.write("\r" + telemetry.progress_line().ljust(79))
         self._active = True

@@ -39,7 +39,8 @@ from repro.obs.registry import (
     merge_registry_snapshots,
     register_process_registry,
 )
-from repro.runner import CampaignSpec, run_campaign, session_stats
+from repro.runner import CampaignCell, CampaignSpec, run_campaign, session_stats
+from repro.sim.config import RunSpec, SystemSpec
 from repro.service.journal import as_journal
 from repro.store import STORE_METRICS
 
@@ -124,6 +125,30 @@ class TestEventLogFaithfulness:
         starts = {r["cell"] for r in records if r["kind"] == "cell.start"}
         completes = {r["cell"] for r in records if r["kind"] == "cell.complete"}
         assert starts == completes == {cell.key for cell in spec}
+
+    def test_grouped_members_log_start(self, tmp_path):
+        """Cells run as one batch-engine group still log one cell.start each."""
+        cells = [
+            CampaignCell(
+                f"s{seed}",
+                "repro.runner.tasks:simulate_cell",
+                {"runspec": RunSpec(system=SystemSpec.named("three_partition"),
+                                    policy="timedice", seed=seed,
+                                    horizon=50_000).to_dict()},
+            )
+            for seed in range(5)
+        ]
+        events_path = tmp_path / "events.jsonl"
+        enable_event_log(events_path)
+        try:
+            run_campaign(CampaignSpec(name="grouped", cells=cells), jobs=1)
+        finally:
+            disable_event_log()
+        records = read_events(events_path)
+        assert [r["size"] for r in records if r["kind"] == "batch.group"] == [5]
+        starts = sorted(r["cell"] for r in records if r["kind"] == "cell.start")
+        completes = sorted(r["cell"] for r in records if r["kind"] == "cell.complete")
+        assert starts == completes == sorted(cell.key for cell in cells)
 
 
 class TestExactRollups:

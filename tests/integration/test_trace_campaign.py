@@ -4,9 +4,10 @@ Pins the interaction of trace capture with the two execution surfaces that
 cannot honour it transparently:
 
 - the **batch engine** records no per-run segments, so while a capture is
-  active (and with it the obs gate) campaign grouping stays off and every
-  cell runs on the scalar engine, which self-registers and traces; the
-  reasoned ``pool.batch_fallback.obs_enabled`` counter says why;
+  active (with or without the obs gate) campaign grouping stays off and
+  every cell runs on the scalar engine, which self-registers and traces;
+  with the gate on, the reasoned ``pool.batch_fallback.obs_enabled``
+  counter says why;
 - **forked pool workers** inherit the capture object but their
   registrations can never reach the parent's trace file, so the pool drops
   them and ships the gated ``trace.worker_runs_dropped`` count back in the
@@ -64,6 +65,18 @@ class TestTraceUnderBatchEngine:
         # every cell ran on the scalar engine, which self-registered, so the
         # trace holds one non-empty run per cell
         assert len(captured) == len(sim_campaign())
+        assert all(len(run.segments) > 0 for run in captured)
+
+    def test_capture_without_obs_gate_still_traces_every_cell(self):
+        """A capture alone (gate off) also keeps cells off the batch engine,
+        which registers no runs with it."""
+        cells = sim_campaign().cells[:3]  # the batch-compatible fp cells
+        obs.start_trace_capture()
+        try:
+            run_campaign(CampaignSpec(name="capture-only", cells=cells), jobs=1)
+        finally:
+            captured = obs.stop_trace_capture()
+        assert len(captured) == len(cells)
         assert all(len(run.segments) > 0 for run in captured)
 
     def test_no_capture_still_dispatches_batch(self):

@@ -4,6 +4,8 @@ retries, timeouts, worker death, and telemetry."""
 import json
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -69,6 +71,10 @@ def stuck_then_fast_cell(params):
             handle.write("hung once")
         time.sleep(60.0)
     return "recovered"
+
+
+def interrupting_cell(params):
+    raise KeyboardInterrupt
 
 
 def unserializable_cell(params):
@@ -351,11 +357,11 @@ class TestRunCampaign:
         assert result.telemetry.retries >= 1
 
     def test_timeout_degrades_to_serial_and_finishes(self, tmp_path):
-        """Exhausting the rebuild budget must fall back to ``run_serial``.
+        """Exhausting the rebuild budget must fall back to in-process runs.
 
         ``max_pool_rebuilds=0`` means the very first timeout kill sends the
         remaining queue (the retried cell *and* the innocent bystanders) to
-        the serial path, where the marker file lets the retry succeed.
+        the in-process executor, where the marker file lets the retry succeed.
         """
         spec = CampaignSpec(
             "degrade",
@@ -383,7 +389,7 @@ class TestRunCampaign:
         assert result.outcomes["hang"].worker == f"pid-{os.getpid()}"
 
     def test_worker_death_degrades_to_serial_with_zero_rebuilds(self, tmp_path):
-        """BrokenProcessPool with no rebuild budget also lands in run_serial."""
+        """BrokenProcessPool with no rebuild budget also lands in-process."""
         spec = CampaignSpec(
             "mortal-serial",
             [
@@ -422,6 +428,26 @@ class TestRunCampaign:
         assert degraded.results == serial.results
         assert list(degraded.results) == list(serial.results)  # spec order
 
+    def test_pool_death_keeps_results_that_already_finished(self, monkeypatch):
+        """A dead pool charges only the attempts it did not finish: results
+        already in when the break is seen are completed, not recomputed."""
+        from repro.runner.pool import _CampaignRunner
+
+        monkeypatch.setattr(
+            _CampaignRunner, "_new_executor", staticmethod(lambda jobs: _DiesOnSeedZero())
+        )
+        result = run_campaign(_spec(8), jobs=8, retries=0, on_failure="keep")
+        good = {key: o for key, o in result.outcomes.items() if key != "seed=0"}
+        assert len(good) == 7
+        assert all(o.ok and o.attempts == 1 for o in good.values())
+        assert "worker died" in result.outcomes["seed=0"].error
+        assert result.telemetry.computed == 7 and result.telemetry.failed == 1
+
+    def test_keyboard_interrupt_in_process_propagates(self):
+        spec = CampaignSpec("ctrl-c", [CampaignCell("c", f"{_TASK}:interrupting_cell", {})])
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(spec, jobs=1, retries=2)
+
     def test_unserializable_value_errors_with_cache(self, tmp_path):
         spec = CampaignSpec(
             "bad", [CampaignCell("c", f"{_TASK}:unserializable_cell", {})]
@@ -432,6 +458,40 @@ class TestRunCampaign:
     def test_invalid_on_failure_rejected(self):
         with pytest.raises(ValueError):
             run_campaign(_spec(1), on_failure="explode")
+
+
+class _OrderedFuture(Future):
+    """Hashes by submission index, so a set of these iterates in submission
+    order whatever the memory layout: the supervisor sees the first cell's
+    break before it has looked at any other result."""
+
+    def __init__(self, index):
+        super().__init__()
+        self._index = index
+
+    def __hash__(self):
+        return self._index
+
+
+class _DiesOnSeedZero:
+    """A stand-in pool that runs each call in-process and returns it
+    finished — except the ``seed=0`` cell, whose worker died: its future
+    raises ``BrokenProcessPool`` while every other result is already in."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, task, params):
+        future = _OrderedFuture(self.submitted)
+        self.submitted += 1
+        if params["seed"] == 0:
+            future.set_exception(BrokenProcessPool("a worker died"))
+        else:
+            future.set_result(fn(task, params))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 class TestTelemetry:
@@ -461,11 +521,16 @@ class TestTelemetry:
         snap = json.loads(result.telemetry.to_json())
         assert snap["total"] == 1
 
-    def test_listener_sees_events(self):
+    def test_listener_sees_events(self, tmp_path):
         seen = []
-        run_campaign(_spec(2), listeners=[lambda t, e: seen.append(e.kind)])
+        run_campaign(_spec(2), cache=str(tmp_path), listeners=[lambda t, e: seen.append(e.kind)])
         assert seen.count("computed") == 2
         assert seen.count("scheduled") == 2
+        assert seen.count("started") == 2
+        # A cell the store holds is never scheduled: it gets only "cached".
+        seen.clear()
+        run_campaign(_spec(2), cache=str(tmp_path), listeners=[lambda t, e: seen.append(e.kind)])
+        assert seen == ["cached", "cached"]
 
 
 def _sim_spec(n):
